@@ -204,8 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="KEY=VALUE", help="dotted-path config override")
     parser.add_argument("--out-dir", help="run directory (overrides paths.out_dir)")
     parser.add_argument("--seed", type=int, help="override the run seed")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for sweeps (currently sequential)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("synth-data", "extract-features", "train-gmm", "train-nn",
                  "train-hdnn"):

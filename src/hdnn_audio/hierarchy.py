@@ -5,7 +5,7 @@ classifies the sampled long-term context."""
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -9,7 +9,7 @@ import copy
 import csv
 import enum
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,13 +22,6 @@ POSTERIOR_CLAMP = 1e-12
 class Activation(enum.Enum):
     SIGMOID = "sigmoid"
     SOFTMAX = "softmax"
-
-
-@dataclass
-class LayerSpec:
-    in_dim: int
-    out_dim: int
-    activation: Activation
 
 
 @dataclass
@@ -129,13 +122,14 @@ class NewbobSchedule:
         return stop
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function that never overflows: exp is only taken of -|z|.
+
+    Bitwise equal to the two-branch form 1/(1+exp(-z)) for z >= 0 and
+    exp(z)/(1+exp(z)) for z < 0, without gathering either branch.
+    """
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -172,7 +166,7 @@ def forward(model: MlpModel, batch: np.ndarray) -> tuple[list[np.ndarray], np.nd
     a = batch
     for layer in model.layers:
         z = a @ layer.weights.T + layer.bias
-        a = _softmax(z) if layer.activation is Activation.SOFTMAX else _sigmoid(z)
+        a = _softmax(z) if layer.activation is Activation.SOFTMAX else sigmoid(z)
         activations.append(a)
     return activations, a
 
@@ -192,25 +186,16 @@ def backprop_step(model: MlpModel, batch: np.ndarray, labels: np.ndarray,
                   lr: float) -> float:
     """One SGD step (mean gradient over the batch, no momentum/decay).
 
-    Updates the model in place; returns the pre-update batch loss.
+    Updates the model in place; returns the pre-update batch loss. Every
+    layer's gradient is checked before any layer is updated, so a
+    NonFiniteGradient leaves the whole model unchanged.
     """
-    activations, posteriors = forward(model, batch)
-    labels = np.asarray(labels)
-    loss = cross_entropy(posteriors, labels)
-    b = batch.shape[0]
-    onehot = np.zeros_like(posteriors)
-    onehot[np.arange(b), labels] = 1.0
-    delta = (posteriors - onehot) / b  # softmax + cross-entropy
-    for i in reversed(range(len(model.layers))):
-        layer = model.layers[i]
-        a_in = activations[i]
-        grad_w = delta.T @ a_in
-        grad_b = delta.sum(axis=0)
+    loss, grads = _loss_and_gradients(model, batch, labels)
+    for i in reversed(range(len(grads))):
+        grad_w, grad_b = grads[i]
         if not (np.isfinite(grad_w).all() and np.isfinite(grad_b).all()):
             raise NonFiniteGradient(f"non-finite gradient at layer {i}")
-        if i > 0:
-            # sigmoid derivative expressed through the activation itself
-            delta = (delta @ layer.weights) * (activations[i] * (1.0 - activations[i]))
+    for layer, (grad_w, grad_b) in zip(model.layers, grads):
         layer.weights -= lr * grad_w
         layer.bias -= lr * grad_b
     return loss
@@ -219,19 +204,27 @@ def backprop_step(model: MlpModel, batch: np.ndarray, labels: np.ndarray,
 def gradients(model: MlpModel, batch: np.ndarray,
               labels: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Mean-over-batch gradients per layer, without updating the model."""
+    return _loss_and_gradients(model, batch, labels)[1]
+
+
+def _loss_and_gradients(model: MlpModel, batch: np.ndarray, labels: np.ndarray
+                        ) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
+    """Cross-entropy of the batch and its per-layer (weight, bias) gradients."""
     activations, posteriors = forward(model, batch)
     labels = np.asarray(labels)
-    b = batch.shape[0]
-    onehot = np.zeros_like(posteriors)
-    onehot[np.arange(b), labels] = 1.0
-    delta = (posteriors - onehot) / b
+    loss = cross_entropy(posteriors, labels)
+    # softmax + cross-entropy: (posteriors - onehot) / batch size
+    delta = posteriors.copy()
+    delta[np.arange(len(labels)), labels] -= 1.0
+    delta /= posteriors.shape[0]
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(model.layers)
     for i in reversed(range(len(model.layers))):
-        layer = model.layers[i]
         grads[i] = (delta.T @ activations[i], delta.sum(axis=0))
         if i > 0:
-            delta = (delta @ layer.weights) * (activations[i] * (1.0 - activations[i]))
-    return grads
+            # sigmoid derivative expressed through the activation itself
+            a = activations[i]
+            delta = (delta @ model.layers[i].weights) * (a * (1.0 - a))
+    return loss, grads
 
 
 def train(init_model: MlpModel, train_set: tuple[np.ndarray, np.ndarray],

@@ -14,6 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteUpdate
+from .mlp import sigmoid
+
+
+# Reconstruction error only tracks progress (it steers nothing), so a
+# subsample of this many rows is enough to watch it each epoch.
+RECON_ERROR_ROWS = 1000
 
 
 class RbmKind(enum.Enum):
@@ -55,15 +61,6 @@ class PretrainConfig:
             raise ValueError("epoch counts must be non-negative")
 
 
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def init_rbm(kind: RbmKind, num_visible: int, num_hidden: int,
              rng: np.random.Generator) -> RbmModel:
     """Small-Gaussian weight init (std 0.01), zero biases."""
@@ -77,14 +74,14 @@ def hidden_probabilities(rbm: RbmModel, visible: np.ndarray) -> np.ndarray:
     if visible.shape[1] != rbm.num_visible:
         raise DimensionMismatch(
             f"batch dim {visible.shape[1]} != visible units {rbm.num_visible}")
-    return _sigmoid(visible @ rbm.weights.T + rbm.hidden_bias)
+    return sigmoid(visible @ rbm.weights.T + rbm.hidden_bias)
 
 
 def visible_mean(rbm: RbmModel, hidden: np.ndarray) -> np.ndarray:
     pre = hidden @ rbm.weights + rbm.visible_bias
     if rbm.kind is RbmKind.GAUSSIAN_BERNOULLI:
         return pre
-    return _sigmoid(pre)
+    return sigmoid(pre)
 
 
 def cd1_step(rbm: RbmModel, batch: np.ndarray, lr: float,
@@ -123,14 +120,21 @@ def reconstruction_error(rbm: RbmModel, batch: np.ndarray) -> float:
 
 def train_rbm(rbm: RbmModel, data: np.ndarray, lr: float, epochs: int,
               minibatch: int, rng: np.random.Generator) -> list[float]:
-    """CD-1 over shuffled minibatches; returns per-epoch reconstruction error."""
+    """CD-1 over shuffled minibatches; returns per-epoch reconstruction
+    error on a fixed strided subsample of at most RECON_ERROR_ROWS rows.
+
+    The subsample draws nothing from ``rng``, so the CD-1 trajectory does
+    not depend on it.
+    """
     data = np.asarray(data, dtype=np.float64)
+    stride = max(1, -(-data.shape[0] // RECON_ERROR_ROWS))  # ceiling division
+    probe = data[::stride]
     history = []
     for _ in range(epochs):
         order = rng.permutation(data.shape[0])
         for start in range(0, len(order), minibatch):
             cd1_step(rbm, data[order[start:start + minibatch]], lr, rng)
-        history.append(reconstruction_error(rbm, data))
+        history.append(reconstruction_error(rbm, probe))
     return history
 
 

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hdnn_audio import mlp
-from hdnn_audio.errors import DimensionMismatch, LabelOutOfRange
+from hdnn_audio.errors import (DimensionMismatch, LabelOutOfRange,
+                               NonFiniteGradient)
 from hdnn_audio.mlp import (Activation, Layer, MlpModel, NewbobSchedule,
                             TrainSchedule, backprop_step, cross_entropy,
                             forward, gradients, init_random, load_model,
                             model_from_bytes, model_to_bytes, predict_frames,
-                            save_model, train)
+                            save_model, sigmoid, train)
 
 
 def small_model(rng, dims=(4, 6, 3)):
@@ -147,6 +148,95 @@ class TestGradients:
         for _ in range(50):
             last = backprop_step(model, batch, labels, lr=0.5)
         assert last < first
+
+    def test_backprop_step_matches_two_branch_oracle(self, rng):
+        model = init_random([7, 9, 8, 6, 4], rng)
+        oracle = [(l.weights.copy(), l.bias.copy()) for l in model.layers]
+        for _ in range(5):
+            batch = rng.standard_normal((16, 7)) * 3.0
+            labels = rng.integers(0, 4, size=16)
+            loss = backprop_step(model, batch, labels, lr=0.4)
+            assert loss == two_branch_backprop_step(oracle, batch, labels, 0.4)
+        for layer, (w, b) in zip(model.layers, oracle):
+            np.testing.assert_array_equal(layer.weights, w)
+            np.testing.assert_array_equal(layer.bias, b)
+
+    def test_non_finite_gradient_leaves_every_layer_unchanged(self, rng):
+        # an infinite input saturates the first hidden layer to exact 0/1,
+        # so the gradients above it stay finite and only layer 0's is not
+        model = init_random([4, 6, 5, 3], rng)
+        batch = rng.standard_normal((8, 4))
+        batch[0, 0] = np.inf
+        labels = rng.integers(0, 3, size=8)
+        before = [(l.weights.copy(), l.bias.copy()) for l in model.layers]
+        with np.errstate(all="ignore"):
+            grads = gradients(model, batch, labels)
+            assert np.isfinite(grads[-1][0]).all()
+            with pytest.raises(NonFiniteGradient):
+                backprop_step(model, batch, labels, lr=0.1)
+        for layer, (w0, b0) in zip(model.layers, before):
+            np.testing.assert_array_equal(layer.weights, w0)
+            np.testing.assert_array_equal(layer.bias, b0)
+
+
+def two_branch_sigmoid(z):
+    """Oracle: the masked two-branch logistic the package used to compute."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def two_branch_backprop_step(saved, batch, labels, lr):
+    """Oracle: the one-hot SGD step the package used to compute, updating
+    the (weights, bias) snapshot list in place; returns the batch loss."""
+    activations = [batch]
+    a = batch
+    for i, (w, b) in enumerate(saved):
+        z = a @ w.T + b
+        if i == len(saved) - 1:
+            ez = np.exp(z - z.max(axis=1, keepdims=True))
+            a = ez / ez.sum(axis=1, keepdims=True)
+        else:
+            a = two_branch_sigmoid(z)
+        activations.append(a)
+    n = batch.shape[0]
+    loss = float(-np.log(np.maximum(a[np.arange(n), labels], 1e-12)).mean())
+    onehot = np.zeros_like(a)
+    onehot[np.arange(n), labels] = 1.0
+    delta = (a - onehot) / n
+    for i in reversed(range(len(saved))):
+        w, b = saved[i]
+        grad_w = delta.T @ activations[i]
+        grad_b = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ w) * (activations[i] * (1.0 - activations[i]))
+        w -= lr * grad_w
+        b -= lr * grad_b
+    return loss
+
+
+class TestSigmoid:
+    EXTREMES = np.array([0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 709.0,
+                         -709.0, 745.0, -745.0, 1e308, -1e308])
+
+    @pytest.mark.parametrize("shape", [(1, 1), (16, 256), (128, 686)])
+    def test_bitwise_equal_to_two_branch_form(self, rng, shape):
+        z = rng.normal(0.0, 20.0, size=shape)
+        with np.errstate(all="raise"):
+            got, want = sigmoid(z), two_branch_sigmoid(z)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_extremes_bitwise_equal_to_two_branch_form(self):
+        # exp(-|z|) underflows for |z| >= 709 in both forms, which is
+        # benign; overflow, invalid and divide-by-zero must not occur
+        with np.errstate(all="raise", under="ignore"):
+            got = sigmoid(self.EXTREMES)
+            want = two_branch_sigmoid(self.EXTREMES)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert got[-2] == 1.0 and got[-1] == 0.0
 
 
 def forward_from(saved, batch):

@@ -87,6 +87,30 @@ class TestTraining:
         np.testing.assert_array_equal(runs[0], runs[1])
 
 
+    def test_train_rbm_matches_manual_cd1_loop(self, rng):
+        # more rows than RECON_ERROR_ROWS, so the error is taken on a
+        # subsample; evaluating it must draw nothing from the RNG
+        data = correlated_data(rng, n=2500)
+        trained = init_rbm(RbmKind.GAUSSIAN_BERNOULLI, data.shape[1], 4,
+                           np.random.default_rng(5))
+        manual = init_rbm(RbmKind.GAUSSIAN_BERNOULLI, data.shape[1], 4,
+                          np.random.default_rng(5))
+        history = train_rbm(trained, data, lr=0.005, epochs=3, minibatch=64,
+                            rng=np.random.default_rng(6))
+        loop_rng = np.random.default_rng(6)
+        for _ in range(3):
+            order = loop_rng.permutation(len(data))
+            for start in range(0, len(order), 64):
+                cd1_step(manual, data[order[start:start + 64]], 0.005, loop_rng)
+        np.testing.assert_array_equal(trained.weights, manual.weights)
+        np.testing.assert_array_equal(trained.visible_bias, manual.visible_bias)
+        np.testing.assert_array_equal(trained.hidden_bias, manual.hidden_bias)
+        assert len(history) == 3
+        stride = -(-len(data) // rbm.RECON_ERROR_ROWS)
+        assert len(data[::stride]) <= rbm.RECON_ERROR_ROWS
+        assert history[-1] == reconstruction_error(trained, data[::stride])
+
+
 class TestPretrainStack:
     def test_layer_shapes_match_mlp_orientation(self, rng):
         data = correlated_data(rng, n=256, d=10)
