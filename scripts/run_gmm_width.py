@@ -26,8 +26,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    cfg = load_config(args.config)
-    cfg.seed = args.seed
+    cfg = load_config(args.config, [f"seed={args.seed}"])
     segments = load_annotations(Path(args.corpus_dir) / "annotations.csv",
                                 check_audio=True)
     corpus = systems.prepare_corpus(segments, args.corpus_dir, seed=cfg.seed,

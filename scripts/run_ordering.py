@@ -15,11 +15,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from hdnn_audio import evaluation, hierarchy, systems
-from hdnn_audio.cli import _pretrain, _schedule
+from hdnn_audio import evaluation, systems
 from hdnn_audio.config import load_config
 from hdnn_audio.data import load_annotations
-from hdnn_audio.features import ContextConfig
 
 
 def main() -> int:
@@ -30,8 +28,7 @@ def main() -> int:
     parser.add_argument("--out-dir", default="runs/ordering")
     args = parser.parse_args()
 
-    cfg = load_config(args.config)
-    cfg.seed = args.seed
+    cfg = load_config(args.config, [f"seed={args.seed}"])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -56,31 +53,24 @@ def main() -> int:
     reports[f"best GMM ({best_name})"] = gmm_reports[best_name]
 
     _, classifier, _ = systems.train_nn_system(
-        corpus, hidden_dims=[1000], width=9,
-        schedule=_schedule(cfg.nn.schedule, cfg.seed))
+        corpus, hidden_dims=[1000], width=9, schedule=cfg.nn.schedule)
     reports["NN 1x1000 x9"] = evaluation.evaluate(classifier, corpus.test,
                                                   corpus.labels)
     print(f"NN x9: {reports['NN 1x1000 x9'].overall_fa:.2f}%", flush=True)
 
-    context = ContextConfig(width=cfg.context.width,
-                            dct_enabled=cfg.context.dct_enabled,
-                            dct_keep_per_band=cfg.context.dct_keep_per_band)
     _, classifier, _ = systems.train_nn_system(
-        corpus, hidden_dims=list(cfg.nn.hidden_dims), width=cfg.context.width,
-        schedule=_schedule(cfg.nn.schedule, cfg.seed),
-        dct_keep=cfg.context.dct_keep_per_band, pretrain=_pretrain(cfg))
+        corpus, hidden_dims=cfg.nn.hidden_dims, width=cfg.context.width,
+        schedule=cfg.nn.schedule, dct_keep=cfg.context.dct_keep,
+        pretrain=cfg.pretrain)
     reports["DNN RBM+DCT x49"] = evaluation.evaluate(classifier, corpus.test,
                                                      corpus.labels)
     print(f"DNN x49: {reports['DNN RBM+DCT x49'].overall_fa:.2f}%", flush=True)
 
     _, classifier = systems.train_hdnn_system(
-        corpus, context,
-        stage1_hidden=list(cfg.nn.hidden_dims),
-        stage2_hidden=list(cfg.stage2.hidden_dims),
-        schedule_first=_schedule(cfg.nn.schedule, cfg.seed),
-        schedule_second=_schedule(cfg.stage2.schedule, cfg.seed + 1),
-        pretrain=_pretrain(cfg),
-        sparse=hierarchy.SparseContextConfig(offsets=tuple(cfg.sparse_offsets)))
+        corpus, cfg.context,
+        stage1_hidden=cfg.nn.hidden_dims, stage2_hidden=cfg.stage2.hidden_dims,
+        schedule_first=cfg.nn.schedule, schedule_second=cfg.stage2.schedule,
+        pretrain=cfg.pretrain, sparse=cfg.sparse)
     reports["H-DNN"] = evaluation.evaluate(classifier, corpus.test,
                                            corpus.labels)
 

@@ -1,50 +1,26 @@
 """Command-line entry point.
 
-Subcommands: synth-data, extract-features, train-gmm, train-nn,
-train-hdnn, evaluate, sweep-context, grid-arch. Every run writes its
-resolved config snapshot and fingerprint into the output directory.
+Subcommands: synth-data, train-gmm, train-nn, train-hdnn, evaluate,
+sweep-context, grid-arch. Every run writes its resolved config snapshot
+and fingerprint into the output directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import evaluation, gmm, hierarchy, mlp, rbm, systems
-from .config import (RunConfig, config_to_dict, fingerprint, load_config,
-                     write_snapshot)
-from .data import SynthConfig, generate_synthetic_corpus, load_annotations
+from . import evaluation, gmm, hierarchy, mlp, systems
+from .config import RunConfig, fingerprint, load_config, write_snapshot
+from .data import generate_synthetic_corpus, load_annotations
 from .errors import ConfigError, DataError, HdnnError, TrainingDiverged
-from .features import ContextConfig, mfcc_sequence, save_features
-from .data import load_segment_audio
+from .features import ContextConfig, append_deltas, stack_context
 
 EXIT_CONFIG_ERROR = 2
 EXIT_DATA_ERROR = 3
 EXIT_TRAINING_DIVERGED = 4
-
-
-def _schedule(section, seed) -> mlp.TrainSchedule:
-    return mlp.TrainSchedule(
-        initial_lr=section.initial_lr,
-        ramp_improvement_threshold=section.ramp_improvement_threshold,
-        stop_improvement_threshold=section.stop_improvement_threshold,
-        minibatch_frames=section.minibatch_frames,
-        cv_fraction=section.cv_fraction,
-        max_epochs=section.max_epochs,
-        min_epochs=section.min_epochs,
-        rng_seed=seed)
-
-
-def _pretrain(cfg: RunConfig) -> rbm.PretrainConfig | None:
-    if not cfg.pretrain.enabled:
-        return None
-    return rbm.PretrainConfig(
-        gb_lr=cfg.pretrain.gb_lr, gb_epochs=cfg.pretrain.gb_epochs,
-        bb_lr=cfg.pretrain.bb_lr, bb_epochs=cfg.pretrain.bb_epochs,
-        minibatch=cfg.pretrain.minibatch, rng_seed=cfg.seed)
 
 
 def _prepare(cfg: RunConfig) -> systems.PreparedCorpus:
@@ -62,29 +38,8 @@ def _finish_report(cfg: RunConfig, out_dir: Path, report) -> None:
 
 
 def cmd_synth_data(cfg: RunConfig, out_dir: Path) -> None:
-    synth = SynthConfig(
-        num_concepts=cfg.synth.num_concepts,
-        clips_per_concept=cfg.synth.clips_per_concept,
-        clip_seconds_range=(cfg.synth.clip_seconds_min, cfg.synth.clip_seconds_max),
-        sample_rate=cfg.synth.sample_rate,
-        noise_db=cfg.synth.noise_db,
-        rng_seed=cfg.seed)
-    segments = generate_synthetic_corpus(synth, cfg.paths.corpus_dir)
+    segments = generate_synthetic_corpus(cfg.synth, cfg.paths.corpus_dir)
     print(f"wrote {len(segments)} clips to {cfg.paths.corpus_dir}")
-
-
-def cmd_extract_features(cfg: RunConfig, out_dir: Path) -> None:
-    corpus_dir = Path(cfg.paths.corpus_dir)
-    segments = load_annotations(corpus_dir / "annotations.csv", check_audio=True)
-    cache_dir = out_dir / "features"
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    for i, seg in enumerate(segments):
-        seq = mfcc_sequence(load_segment_audio(seg, corpus_dir),
-                            frame_length_ms=cfg.features.frame_length_ms,
-                            frame_shift_ms=cfg.features.frame_shift_ms,
-                            num_ceps=cfg.features.num_ceps)
-        save_features(seq, cache_dir / f"{Path(seg.clip_path).stem}_{i:05d}.acft")
-    print(f"cached features for {len(segments)} segments in {cache_dir}")
 
 
 def cmd_train_gmm(cfg: RunConfig, out_dir: Path) -> None:
@@ -100,11 +55,10 @@ def cmd_train_gmm(cfg: RunConfig, out_dir: Path) -> None:
 
 def cmd_train_nn(cfg: RunConfig, out_dir: Path) -> None:
     corpus = _prepare(cfg)
-    keep = cfg.context.dct_keep_per_band if cfg.context.dct_enabled else None
     model, classifier, history = systems.train_nn_system(
-        corpus, hidden_dims=list(cfg.nn.hidden_dims),
-        width=cfg.context.width, schedule=_schedule(cfg.nn.schedule, cfg.seed),
-        dct_keep=keep, pretrain=_pretrain(cfg))
+        corpus, hidden_dims=cfg.nn.hidden_dims, width=cfg.context.width,
+        schedule=cfg.nn.schedule, dct_keep=cfg.context.dct_keep,
+        pretrain=cfg.pretrain)
     mlp.save_model(model, out_dir / "model.acnn")
     mlp.write_history_csv(history, out_dir / "history.csv")
     _finish_report(cfg, out_dir,
@@ -113,17 +67,11 @@ def cmd_train_nn(cfg: RunConfig, out_dir: Path) -> None:
 
 def cmd_train_hdnn(cfg: RunConfig, out_dir: Path) -> None:
     corpus = _prepare(cfg)
-    context = ContextConfig(width=cfg.context.width,
-                            dct_enabled=cfg.context.dct_enabled,
-                            dct_keep_per_band=cfg.context.dct_keep_per_band)
     cascade, classifier = systems.train_hdnn_system(
-        corpus, context,
-        stage1_hidden=list(cfg.nn.hidden_dims),
-        stage2_hidden=list(cfg.stage2.hidden_dims),
-        schedule_first=_schedule(cfg.nn.schedule, cfg.seed),
-        schedule_second=_schedule(cfg.stage2.schedule, cfg.seed + 1),
-        pretrain=_pretrain(cfg),
-        sparse=hierarchy.SparseContextConfig(offsets=tuple(cfg.sparse_offsets)))
+        corpus, cfg.context,
+        stage1_hidden=cfg.nn.hidden_dims, stage2_hidden=cfg.stage2.hidden_dims,
+        schedule_first=cfg.nn.schedule, schedule_second=cfg.stage2.schedule,
+        pretrain=cfg.pretrain, sparse=cfg.sparse)
     hierarchy.save_cascade(cascade, out_dir / "cascade.achd")
     _finish_report(cfg, out_dir,
                    evaluation.evaluate(classifier, corpus.test, corpus.labels))
@@ -132,22 +80,20 @@ def cmd_train_hdnn(cfg: RunConfig, out_dir: Path) -> None:
 def cmd_evaluate(cfg: RunConfig, out_dir: Path, model_path: str) -> None:
     corpus = _prepare(cfg)
     magic = open(model_path, "rb").read(4)
-    keep = cfg.context.dct_keep_per_band if cfg.context.dct_enabled else None
     if magic == b"ACNN":
         model = mlp.load_model(model_path)
-        transform = systems.context_transform(cfg.context.width, keep)
+        transform = systems.context_transform(cfg.context.width, cfg.context.dct_keep)
 
         def classifier(seq):
             return mlp.predict_frames(model, transform(seq))
     elif magic == b"ACHD":
         cascade = hierarchy.load_cascade(model_path)
-        transform = systems.context_transform(cfg.context.width, keep)
+        transform = systems.context_transform(cfg.context.width, cfg.context.dct_keep)
 
         def classifier(seq):
             return hierarchy.classify(cascade, transform(seq))
     elif magic == b"ACGM":
         bank = gmm.load_bank(model_path)
-        from .features import append_deltas, stack_context
         if cfg.gmm.feature_mode == "delta42":
             def classifier(seq):
                 return gmm.classify_frames(bank, append_deltas(seq).frames)
@@ -166,9 +112,8 @@ def cmd_sweep_context(cfg: RunConfig, out_dir: Path, widths: list[int]) -> None:
 
     def factory(width):
         _, classifier, _ = systems.train_nn_system(
-            corpus, hidden_dims=list(cfg.nn.hidden_dims), width=width,
-            schedule=_schedule(cfg.nn.schedule, cfg.seed), dct_keep=None,
-            pretrain=None)
+            corpus, hidden_dims=cfg.nn.hidden_dims, width=width,
+            schedule=cfg.nn.schedule, dct_keep=None, pretrain=None)
         return classifier
 
     rows = evaluation.context_sweep(widths, factory, corpus.test, corpus.labels,
@@ -179,20 +124,49 @@ def cmd_sweep_context(cfg: RunConfig, out_dir: Path, widths: list[int]) -> None:
 
 def cmd_grid_arch(cfg: RunConfig, out_dir: Path, depths: list[int],
                   neurons: list[int], pretrain_options: list[bool]) -> None:
+    if True in pretrain_options and cfg.pretrain is None:
+        raise ConfigError("grid-arch --pretrain on needs a pretrain section, "
+                          "but pretrain is null")
     corpus = _prepare(cfg)
-    keep = cfg.context.dct_keep_per_band if cfg.context.dct_enabled else None
 
     def cell(depth, width, use_pretrain):
         _, classifier, _ = systems.train_nn_system(
             corpus, hidden_dims=[width] * depth, width=cfg.context.width,
-            schedule=_schedule(cfg.nn.schedule, cfg.seed), dct_keep=keep,
-            pretrain=_pretrain(cfg) if use_pretrain else None)
+            schedule=cfg.nn.schedule, dct_keep=cfg.context.dct_keep,
+            pretrain=cfg.pretrain if use_pretrain else None)
         return evaluation.evaluate(classifier, corpus.test, corpus.labels).overall_fa
 
     rows = evaluation.architecture_grid(depths, neurons, pretrain_options, cell,
                                         csv_path=out_dir / "grid.csv")
     for depth, width, pre, fa in rows:
         print(f"{depth} x {width:5d} {'RBM' if pre else 'RND'}: {fa:6.2f}%")
+
+
+def _comma_list(item):
+    """argparse type: comma-separated values, each parsed by ``item``."""
+    def parse(text):
+        try:
+            return [item(v) for v in text.split(",")]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+    return parse
+
+
+def _context_width(text: str) -> int:
+    return ContextConfig(width=int(text), dct_enabled=False).width
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"expected a positive integer, got {value}")
+    return value
+
+
+def _on_off(text: str) -> bool:
+    if text not in ("on", "off"):
+        raise ValueError(f"expected on or off, got {text!r}")
+    return text == "on"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,37 +179,38 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out-dir", help="run directory (overrides paths.out_dir)")
     parser.add_argument("--seed", type=int, help="override the run seed")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("synth-data", "extract-features", "train-gmm", "train-nn",
-                 "train-hdnn"):
+    for name in ("synth-data", "train-gmm", "train-nn", "train-hdnn"):
         sub.add_parser(name)
     p = sub.add_parser("evaluate")
     p.add_argument("--model", required=True, help="model/cascade/bank file")
     p = sub.add_parser("sweep-context")
-    p.add_argument("--widths", required=True,
+    p.add_argument("--widths", required=True, type=_comma_list(_context_width),
                    help="comma-separated odd context widths")
     p = sub.add_parser("grid-arch")
-    p.add_argument("--depths", required=True, help="comma-separated depths")
-    p.add_argument("--neurons", required=True, help="comma-separated layer widths")
-    p.add_argument("--pretrain", default="on,off",
+    p.add_argument("--depths", required=True, type=_comma_list(_positive_int),
+                   help="comma-separated depths")
+    p.add_argument("--neurons", required=True, type=_comma_list(_positive_int),
+                   help="comma-separated layer widths")
+    p.add_argument("--pretrain", default="on,off", type=_comma_list(_on_off),
                    help="comma-separated subset of {on,off}")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    overrides = list(args.overrides)
+    if args.seed is not None:
+        overrides.append(f"seed={args.seed}")
+    if args.out_dir is not None:
+        # a JSON string is a quoted YAML scalar, so the path stays a string
+        overrides.append(f"paths.out_dir={json.dumps(args.out_dir)}")
     try:
-        cfg = load_config(args.config, args.overrides)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.out_dir is not None:
-            cfg.paths.out_dir = args.out_dir
+        cfg = load_config(args.config, overrides)
         out_dir = Path(cfg.paths.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         write_snapshot(cfg, out_dir)
         if args.command == "synth-data":
             cmd_synth_data(cfg, out_dir)
-        elif args.command == "extract-features":
-            cmd_extract_features(cfg, out_dir)
         elif args.command == "train-gmm":
             cmd_train_gmm(cfg, out_dir)
         elif args.command == "train-nn":
@@ -245,13 +220,9 @@ def main(argv=None) -> int:
         elif args.command == "evaluate":
             cmd_evaluate(cfg, out_dir, args.model)
         elif args.command == "sweep-context":
-            widths = [int(w) for w in args.widths.split(",")]
-            cmd_sweep_context(cfg, out_dir, widths)
+            cmd_sweep_context(cfg, out_dir, args.widths)
         elif args.command == "grid-arch":
-            depths = [int(d) for d in args.depths.split(",")]
-            neurons = [int(n) for n in args.neurons.split(",")]
-            pre = [p == "on" for p in args.pretrain.split(",")]
-            cmd_grid_arch(cfg, out_dir, depths, neurons, pre)
+            cmd_grid_arch(cfg, out_dir, args.depths, args.neurons, args.pretrain)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -1,82 +1,67 @@
 """Declarative run configuration: YAML file + dotted-path overrides,
-validated strictly (unknown keys rejected) before any work starts."""
+validated strictly before any work starts.
+
+The sections are the library's own runtime dataclasses. Every value is
+checked against its field's type hint (unknown keys rejected), then by
+the dataclass's own ``__post_init__``. Every ``rng_seed`` follows the
+top-level ``seed`` and cannot be set.
+"""
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
 import json
+import types
+import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import yaml
 
+from .data import SynthConfig
 from .errors import ConfigError
+from .features import ContextConfig
+from .hierarchy import SparseContextConfig
+from .mlp import TrainSchedule
+from .rbm import PretrainConfig
 
+GMM_FEATURE_MODES = ("delta42", "stacked")
 
-@dataclass
-class FeatureConfig:
-    frame_length_ms: float = 25.0
-    frame_shift_ms: float = 10.0
-    num_ceps: int = 13
-
-
-@dataclass
-class ContextSection:
-    width: int = 49
-    dct_enabled: bool = True
-    dct_keep_per_band: int = 33
-
-
-@dataclass
-class ScheduleSection:
-    initial_lr: float = 0.002
-    ramp_improvement_threshold: float = 0.5
-    stop_improvement_threshold: float = 0.1
-    minibatch_frames: int = 1024
-    cv_fraction: float = 0.10
-    max_epochs: int = 50
-    min_epochs: int = 0
+# derived from RunConfig.seed, never read from a file or an override
+DERIVED_KEY = "rng_seed"
 
 
 @dataclass
 class NetworkSection:
     hidden_dims: list[int] = field(default_factory=lambda: [2000, 2000, 2000])
-    schedule: ScheduleSection = field(default_factory=ScheduleSection)
+    schedule: TrainSchedule = field(default_factory=TrainSchedule)
+
+    def __post_init__(self):
+        if any(d < 1 for d in self.hidden_dims):
+            raise ValueError(f"hidden_dims must be positive, got {self.hidden_dims}")
 
 
 @dataclass
-class Stage2Section:
+class Stage2Section(NetworkSection):
     hidden_dims: list[int] = field(default_factory=lambda: [1000, 1000])
-    schedule: ScheduleSection = field(default_factory=ScheduleSection)
-
-
-@dataclass
-class PretrainSection:
-    enabled: bool = True
-    gb_lr: float = 0.005
-    gb_epochs: int = 10
-    bb_lr: float = 0.05
-    bb_epochs: int = 5
-    minibatch: int = 1024
 
 
 @dataclass
 class GmmSection:
     num_components: int = 256
     iterations: int = 20
-    feature_mode: str = "delta42"  # or "stacked"
+    feature_mode: str = "delta42"
     stacked_width: int = 5
 
-
-@dataclass
-class SynthSection:
-    num_concepts: int = 8
-    clips_per_concept: int = 26
-    clip_seconds_min: float = 1.2
-    clip_seconds_max: float = 2.0
-    sample_rate: int = 16000
-    noise_db: float = -30.0
+    def __post_init__(self):
+        if self.feature_mode not in GMM_FEATURE_MODES:
+            raise ValueError(f"feature_mode must be one of {list(GMM_FEATURE_MODES)}, "
+                             f"got {self.feature_mode!r}")
+        if self.num_components < 1 or self.iterations < 0:
+            raise ValueError("need num_components >= 1 and iterations >= 0")
+        if self.feature_mode == "stacked":
+            ContextConfig(width=self.stacked_width, dct_enabled=False)
 
 
 @dataclass
@@ -89,42 +74,67 @@ class PathsSection:
 class RunConfig:
     seed: int = 0
     train_fraction: float = 0.8
-    sparse_offsets: list[int] = field(default_factory=lambda: [-10, -5, 0, 5, 10])
     paths: PathsSection = field(default_factory=PathsSection)
-    features: FeatureConfig = field(default_factory=FeatureConfig)
-    context: ContextSection = field(default_factory=ContextSection)
+    context: ContextConfig = field(default_factory=ContextConfig)
+    sparse: SparseContextConfig = field(default_factory=SparseContextConfig)
     nn: NetworkSection = field(default_factory=NetworkSection)
     stage2: Stage2Section = field(default_factory=Stage2Section)
-    pretrain: PretrainSection = field(default_factory=PretrainSection)
+    pretrain: PretrainConfig | None = field(default_factory=PretrainConfig)
     gmm: GmmSection = field(default_factory=GmmSection)
-    synth: SynthSection = field(default_factory=SynthSection)
+    synth: SynthConfig = field(default_factory=SynthConfig)
+
+    def __post_init__(self):
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ValueError("train_fraction must be in (0, 1)")
+        self.nn.schedule.rng_seed = self.seed
+        self.stage2.schedule.rng_seed = self.seed + 1
+        if self.pretrain is not None:
+            self.pretrain.rng_seed = self.seed
+        self.synth.rng_seed = self.seed
+
+
+def _check(hint, value, path):
+    """``value`` validated against the type hint ``hint``; tuples are
+    built from lists and nested dataclasses from mappings."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        (inner,) = [a for a in args if a is not type(None)]
+        return _check(inner, value, path)
+    if is_dataclass(hint):
+        return _from_dict(hint, value, path)
+    if origin in (list, tuple):
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        if origin is list or args[-1] is Ellipsis:
+            item_hints = [args[0]] * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(f"{path}: expected {len(args)} items, got {len(value)}")
+        else:
+            item_hints = args
+        return origin(_check(h, v, f"{path}[{i}]")
+                      for i, (h, v) in enumerate(zip(item_hints, value)))
+    accepted = (int, float) if hint is float else (hint,)
+    if isinstance(value, bool) != (hint is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{path}: expected {hint.__name__}, got {value!r}")
+    return value
 
 
 def _from_dict(cls, data, path="config"):
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(data).__name__}")
-    known = {f.name: f for f in fields(cls)}
-    unknown = set(data) - set(known)
+    hints = typing.get_type_hints(cls)
+    known = {f.name for f in fields(cls)} - {DERIVED_KEY}
+    unknown = set(data) - known
     if unknown:
-        raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}")
-    kwargs = {}
-    for name, value in data.items():
-        f = known[name]
-        if is_dataclass(f.type) or (isinstance(f.type, str) and f.type in _SECTIONS):
-            sub_cls = _SECTIONS[f.type] if isinstance(f.type, str) else f.type
-            kwargs[name] = _from_dict(sub_cls, value, f"{path}.{name}")
-        else:
-            kwargs[name] = value
+        raise ConfigError(f"{path}: unknown key(s) {sorted(map(str, unknown))}")
+    kwargs = {name: _check(hints[name], value, f"{path}.{name}")
+              for name, value in data.items()}
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-
-_SECTIONS = {cls.__name__: cls for cls in
-             (FeatureConfig, ContextSection, ScheduleSection, NetworkSection,
-              Stage2Section, PretrainSection, GmmSection, SynthSection,
-              PathsSection)}
 
 
 def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
@@ -149,12 +159,23 @@ def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
 
 
 def config_to_dict(config: RunConfig) -> dict:
-    return dataclasses.asdict(config)
+    """Plain YAML/JSON data that load_config reads back to ``config``
+    (tuples as lists, derived seeds left out)."""
+    def plain(node):
+        if isinstance(node, dict):
+            return {k: plain(v) for k, v in node.items() if k != DERIVED_KEY}
+        if isinstance(node, (list, tuple)):
+            return [plain(v) for v in node]
+        return node
+    return plain(dataclasses.asdict(config))
 
 
 def fingerprint(config: RunConfig) -> str:
-    """Short stable hash of every hyperparameter, for reproducibility audits."""
-    canonical = json.dumps(config_to_dict(config), sort_keys=True)
+    """Short stable hash of every hyperparameter (everything but
+    ``paths``), for reproducibility audits."""
+    params = config_to_dict(config)
+    del params["paths"]
+    canonical = json.dumps(params, sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 

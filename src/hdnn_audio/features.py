@@ -12,9 +12,7 @@ filters over 0-8000 Hz, log floored at ln(1e-10), orthonormal DCT-II.
 from __future__ import annotations
 
 import enum
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.fft
@@ -97,8 +95,13 @@ class ContextConfig:
     def __post_init__(self):
         if self.width < 1 or self.width % 2 == 0:
             raise ValueError(f"context width must be odd and positive, got {self.width}")
-        if self.dct_keep_per_band < 1 or self.dct_keep_per_band > self.width:
+        if self.dct_enabled and not 1 <= self.dct_keep_per_band <= self.width:
             raise ValueError("dct_keep_per_band must be in [1, width]")
+
+    @property
+    def dct_keep(self) -> int | None:
+        """Coefficients kept per band, or None when the DCT is off."""
+        return self.dct_keep_per_band if self.dct_enabled else None
 
 
 def load_wav(path) -> AudioClip:
@@ -328,34 +331,3 @@ def invert_temporal_dct(reduced: FeatureSequence, width: int,
                            frame_shift_ms=reduced.frame_shift_ms,
                            frame_length_ms=reduced.frame_length_ms)
 
-
-# --- feature cache file format ("ACFT") ---
-
-_FEATURE_MAGIC = b"ACFT"
-_FEATURE_VERSION = 1
-_KIND_CODES = {k: i for i, k in enumerate(FeatureKind)}
-_CODE_KINDS = {i: k for k, i in _KIND_CODES.items()}
-
-
-def save_features(seq: FeatureSequence, path) -> None:
-    """Write a sequence to the binary per-clip cache format."""
-    header = _FEATURE_MAGIC + struct.pack(
-        "<IIIBf", _FEATURE_VERSION, seq.num_frames, seq.dim,
-        _KIND_CODES[seq.feature_kind], seq.frame_shift_ms)
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(seq.frames.astype("<f4").tobytes())
-
-
-def load_features(path) -> FeatureSequence:
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != _FEATURE_MAGIC:
-            raise DimensionMismatch(f"{path}: not a feature cache file")
-        version, t, d, kind_code, shift = struct.unpack("<IIIBf", f.read(17))
-        if version != _FEATURE_VERSION:
-            raise DimensionMismatch(f"{path}: unsupported version {version}")
-        data = np.frombuffer(f.read(4 * t * d), dtype="<f4").reshape(t, d)
-    return FeatureSequence(frames=data.astype(np.float64),
-                           feature_kind=_CODE_KINDS[kind_code],
-                           frame_shift_ms=float(shift))

@@ -196,12 +196,6 @@ def _adapt_means_only(ubm: DiagGmm, data: np.ndarray, iterations: int) -> DiagGm
     return model
 
 
-def llr_score(model: DiagGmm, ubm: DiagGmm, frame: np.ndarray) -> float:
-    """ln p(frame | model) - ln p(frame | ubm)."""
-    frame = np.atleast_2d(frame)
-    return float(log_likelihoods(model, frame)[0] - log_likelihoods(ubm, frame)[0])
-
-
 def classify_frames(bank: GmmConceptBank, frames: np.ndarray) -> np.ndarray:
     """Per-frame argmax of the concept LLRs (lowest-index tie-break)."""
     frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
@@ -209,10 +203,6 @@ def classify_frames(bank: GmmConceptBank, frames: np.ndarray) -> np.ndarray:
     scores = np.stack([log_likelihoods(bank.concept_models[label], frames) - ubm_ll
                        for label in bank.labels], axis=1)
     return scores.argmax(axis=1)
-
-
-def classify_frame(bank: GmmConceptBank, frame: np.ndarray) -> int:
-    return int(classify_frames(bank, np.atleast_2d(frame))[0])
 
 
 # --- bank file format ("ACGM") ---

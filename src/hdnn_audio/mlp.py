@@ -81,8 +81,10 @@ class TrainSchedule:
             raise ValueError("need 0 < stop threshold < ramp threshold")
         if not (0.0 < self.cv_fraction < 1.0):
             raise ValueError("cv_fraction must be in (0, 1)")
-        if self.min_epochs < 0:
-            raise ValueError("min_epochs must be non-negative")
+        if self.min_epochs < 0 or self.max_epochs < 0:
+            raise ValueError("epoch counts must be non-negative")
+        if self.minibatch_frames < 1:
+            raise ValueError("minibatch_frames must be positive")
 
 
 @dataclass

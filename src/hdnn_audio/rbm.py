@@ -59,6 +59,8 @@ class PretrainConfig:
             raise ValueError("learning rates must be positive")
         if self.gb_epochs < 0 or self.bb_epochs < 0:
             raise ValueError("epoch counts must be non-negative")
+        if self.minibatch < 1:
+            raise ValueError("minibatch must be positive")
 
 
 def init_rbm(kind: RbmKind, num_visible: int, num_hidden: int,

@@ -114,8 +114,7 @@ def train_hdnn_system(corpus: PreparedCorpus, context: ContextConfig,
                       sparse: hierarchy.SparseContextConfig | None = None):
     """Train the two-stage cascade on DCT-reduced context features.
     Returns (cascade, classifier closure)."""
-    keep = context.dct_keep_per_band if context.dct_enabled else None
-    base_transform = context_transform(context.width, keep)
+    base_transform = context_transform(context.width, context.dct_keep)
     pre = [(base_transform(seq), y) for seq, y in corpus.train]
     input_norm = fit_norm_stats([seq for seq, _ in pre])
 

@@ -1,12 +1,16 @@
+import runpy
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
 
+from hdnn_audio import cli
 from hdnn_audio.cli import main
 from hdnn_audio.config import (RunConfig, config_to_dict, fingerprint,
                                load_config, write_snapshot)
 from hdnn_audio.errors import ConfigError
-from hdnn_audio.features import load_features
 
 
 class TestLoadConfig:
@@ -19,7 +23,7 @@ class TestLoadConfig:
 
     def test_yaml_file(self, tmp_path):
         path = tmp_path / "run.yaml"
-        path.write_text("seed: 9\ncontext:\n  width: 9\n")
+        path.write_text("seed: 9\ncontext:\n  width: 9\n  dct_keep_per_band: 5\n")
         cfg = load_config(path)
         assert cfg.seed == 9
         assert cfg.context.width == 9
@@ -80,7 +84,8 @@ class TestFingerprint:
         assert fingerprint(c) != fingerprint(a)
 
     def test_snapshot_round_trips(self, tmp_path):
-        cfg = load_config(None, ["context.width=17", "seed=5"])
+        cfg = load_config(None, ["context.width=17", "context.dct_keep_per_band=9",
+                                 "seed=5"])
         write_snapshot(cfg, tmp_path)
         reloaded = load_config(tmp_path / "config.yaml")
         assert config_to_dict(reloaded) == config_to_dict(cfg)
@@ -94,8 +99,7 @@ def cli_corpus(tmp_path_factory):
     corpus = root / "corpus"
     rc = main(["--set", f"paths.corpus_dir={corpus}",
                "--set", "synth.clips_per_concept=3",
-               "--set", "synth.clip_seconds_min=0.6",
-               "--set", "synth.clip_seconds_max=0.9",
+               "--set", "synth.clip_seconds_range=[0.6, 0.9]",
                "--out-dir", str(root / "synth_run"),
                "--seed", "7",
                "synth-data"])
@@ -113,23 +117,12 @@ class TestCli:
         out = tmp_path / "run"
         rc = main(["--set", f"paths.corpus_dir={corpus}",
                    "--set", "synth.clips_per_concept=2",
-                   "--set", "synth.clip_seconds_min=0.5",
-                   "--set", "synth.clip_seconds_max=0.6",
+                   "--set", "synth.clip_seconds_range=[0.5, 0.6]",
                    "--out-dir", str(out), "synth-data"])
         assert rc == 0
         snap = yaml.safe_load((out / "config.yaml").read_text())
         assert snap["paths"]["corpus_dir"] == str(corpus)
         assert (out / "fingerprint.txt").exists()
-
-    def test_extract_features(self, cli_corpus, tmp_path):
-        out = tmp_path / "feats"
-        rc = main(["--set", f"paths.corpus_dir={cli_corpus}",
-                   "--out-dir", str(out), "extract-features"])
-        assert rc == 0
-        cached = sorted((out / "features").glob("*.acft"))
-        assert len(cached) == 24
-        seq = load_features(cached[0])
-        assert seq.frames.shape[1] == 14
 
     def test_train_gmm_and_evaluate_round_trip(self, cli_corpus, tmp_path):
         out = tmp_path / "gmm"
@@ -184,3 +177,110 @@ class TestCli:
             assert rc == 0
             reports.append((out / "bank.acgm").read_bytes())
         assert reports[0] == reports[1]
+
+
+# each value is rejected when the config loads; the corpus dir is missing,
+# so a check that ran only after the corpus was opened would exit 3
+BAD_VALUES = [
+    "context.width=8", "nn.hidden_dims=64", "nn.schedule.initial_lr=abc",
+    "context.dct_keep_per_band=99", "gmm.feature_mode=bogus", "seed=abc",
+    "pretrain.gb_lr=-1", "synth.num_concepts=1", "features.frame_shift_ms=20",
+    "nn.schedule.rng_seed=5", "sparse.offsets=[1,2]", "seed=true",
+    "nn.hidden_dims=[0]", "nn.schedule.minibatch_frames=0",
+    "pretrain.minibatch=0", "gmm.num_components=0", "train_fraction=1.5",
+]
+
+
+class TestValidation:
+    @pytest.mark.parametrize("override", BAD_VALUES)
+    def test_bad_value_exits_2_before_corpus(self, override, tmp_path):
+        rc = main(["--set", f"paths.corpus_dir={tmp_path / 'missing'}",
+                   "--set", override, "--out-dir", str(tmp_path / "run"),
+                   "train-hdnn"])
+        assert rc == 2
+
+    def test_unused_geometry_not_checked(self):
+        cfg = load_config(None, ["context.width=5", "context.dct_enabled=false",
+                                 "gmm.stacked_width=4"])
+        assert cfg.context.dct_keep is None
+        assert load_config().context.dct_keep == 33
+        with pytest.raises(ConfigError, match="width"):
+            load_config(None, ["gmm.feature_mode=stacked", "gmm.stacked_width=4"])
+
+    def test_types_follow_annotations(self):
+        cfg = load_config(None, ["nn.schedule.initial_lr=1",
+                                 "synth.clip_seconds_range=[0.5, 1]",
+                                 "sparse.offsets=[-2, 0, 2]"])
+        assert cfg.nn.schedule.initial_lr == 1
+        assert cfg.synth.clip_seconds_range == (0.5, 1)
+        assert cfg.sparse.offsets == (-2, 0, 2)
+        with pytest.raises(ConfigError, match=r"clip_seconds_range"):
+            load_config(None, ["synth.clip_seconds_range=[1.0]"])
+        with pytest.raises(ConfigError, match=r"hidden_dims\[1\]"):
+            load_config(None, ["nn.hidden_dims=[8, 2.5]"])
+
+    def test_seed_flag_derives_every_rng_seed(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_synth_data",
+                            lambda cfg, out_dir: seen.append(cfg))
+        rc = main(["--seed", "7", "--out-dir", str(tmp_path), "synth-data"])
+        assert rc == 0
+        (cfg,) = seen
+        assert (cfg.nn.schedule.rng_seed, cfg.stage2.schedule.rng_seed,
+                cfg.pretrain.rng_seed, cfg.synth.rng_seed) == (7, 8, 7, 7)
+        assert "rng_seed" not in (tmp_path / "config.yaml").read_text()
+
+    def test_fingerprint_ignores_paths(self):
+        base = fingerprint(load_config())
+        moved = load_config(None, ["paths.out_dir=elsewhere",
+                                   "paths.corpus_dir=other"])
+        assert fingerprint(moved) == base
+
+    def test_snapshot_round_trips_without_pretraining(self, tmp_path):
+        cfg = load_config(None, ["pretrain=null", "seed=3"])
+        write_snapshot(cfg, tmp_path)
+        reloaded = load_config(tmp_path / "config.yaml")
+        assert reloaded.pretrain is None
+        assert config_to_dict(reloaded) == config_to_dict(cfg)
+        assert fingerprint(reloaded) == fingerprint(cfg)
+
+
+class TestListArguments:
+    @pytest.mark.parametrize("args", [
+        ["sweep-context", "--widths", "8"],
+        ["sweep-context", "--widths", "a"],
+        ["grid-arch", "--depths", "0", "--neurons", "8"],
+        ["grid-arch", "--depths", "1", "--neurons", "8,x"],
+        ["grid-arch", "--depths", "1", "--neurons", "8", "--pretrain", "yes"],
+    ])
+    def test_bad_list_exits_2(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+
+    def test_parsed_values(self):
+        args = cli.build_parser().parse_args(
+            ["grid-arch", "--depths", "1,3", "--neurons", "16"])
+        assert (args.depths, args.neurons, args.pretrain) == ([1, 3], [16],
+                                                              [True, False])
+        args = cli.build_parser().parse_args(["sweep-context", "--widths", "1,9"])
+        assert args.widths == [1, 9]
+
+    def test_pretrain_on_without_pretrain_section(self, tmp_path):
+        rc = main(["--set", "pretrain=null",
+                   "--set", f"paths.corpus_dir={tmp_path / 'missing'}",
+                   "--out-dir", str(tmp_path / "run"),
+                   "grid-arch", "--depths", "1", "--neurons", "8",
+                   "--pretrain", "on"])
+        assert rc == 2
+
+
+SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
+def test_script_help(script, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", [str(script), "--help"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exc.value.code == 0

@@ -9,9 +9,8 @@ from hdnn_audio.errors import ClipTooShort, DimensionMismatch, EmptyInput
 from hdnn_audio.features import (AudioClip, FeatureKind, FeatureSequence,
                                  append_deltas, apply_norm, compute_mfcc,
                                  fit_norm_stats, frame_signal,
-                                 invert_temporal_dct, load_features, load_wav,
-                                 mel_filterbank, mfcc_sequence,
-                                 periodic_hamming, save_features,
+                                 invert_temporal_dct, load_wav, mel_filterbank,
+                                 mfcc_sequence, periodic_hamming,
                                  stack_context, temporal_dct_reduce)
 
 
@@ -286,19 +285,3 @@ class TestWavIo:
         clip = load_wav(tmp_path / "lo.wav")
         assert clip.sample_rate == 16000
         assert len(clip.samples) == 16000
-
-
-class TestFeatureFiles:
-    def test_round_trip(self, tmp_path, small_seq):
-        path = tmp_path / "seq.acft"
-        save_features(small_seq, path)
-        loaded = load_features(path)
-        assert loaded.feature_kind is small_seq.feature_kind
-        assert loaded.frame_shift_ms == small_seq.frame_shift_ms
-        np.testing.assert_allclose(loaded.frames, small_seq.frames, atol=1e-6)
-
-    def test_magic_checked(self, tmp_path):
-        path = tmp_path / "bogus.acft"
-        path.write_bytes(b"NOPE" + b"\x00" * 40)
-        with pytest.raises(DimensionMismatch):
-            load_features(path)

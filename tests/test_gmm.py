@@ -7,9 +7,8 @@ from scipy.special import logsumexp
 from hdnn_audio import gmm
 from hdnn_audio.errors import DataTooSmall, DimensionMismatch, EmptyInput
 from hdnn_audio.gmm import (DiagGmm, GmmConceptBank, adapt_concept,
-                            classify_frame, classify_frames, em_train,
-                            kmeans_pp_init, llr_score, load_bank,
-                            log_likelihoods, save_bank, train_ubm,
+                            classify_frames, em_train, kmeans_pp_init,
+                            load_bank, log_likelihoods, save_bank, train_ubm,
                             ubm_global_variance)
 
 
@@ -154,10 +153,6 @@ class TestScoring:
         return GmmConceptBank(ubm=ubm, concept_models=models,
                               labels=["lo", "hi"]), data
 
-    def test_llr_zero_against_self(self, rng):
-        bank, data = self.make_bank(rng)
-        assert llr_score(bank.ubm, bank.ubm, data[0]) == pytest.approx(0.0)
-
     def test_classify_matches_brute_force(self, rng):
         bank, data = self.make_bank(rng)
         frames = data[::7]
@@ -172,10 +167,6 @@ class TestScoring:
         pred = classify_frames(bank, data)
         acc = np.mean(pred == np.repeat([0, 1], 200))
         assert acc > 0.95
-
-    def test_classify_frame_scalar(self, rng):
-        bank, data = self.make_bank(rng)
-        assert classify_frame(bank, data[0]) in (0, 1)
 
 
 class TestBankFiles:
