@@ -6,6 +6,7 @@ Usage: python scripts/make_corpus.py [--config configs/desk_scale.yaml]
 """
 
 import argparse
+import json
 import sys
 
 from hdnn_audio.cli import main as cli_main
@@ -19,7 +20,7 @@ def main() -> int:
     parser.add_argument("--out-dir", default="runs/synth")
     args = parser.parse_args()
     return cli_main(["--config", args.config,
-                     "--set", f"paths.corpus_dir={args.corpus_dir}",
+                     "--set", f"paths.corpus_dir={json.dumps(args.corpus_dir)}",
                      "--seed", str(args.seed),
                      "--out-dir", args.out_dir,
                      "synth-data"])

@@ -7,6 +7,7 @@ Usage: python scripts/run_arch_grid.py [--config configs/desk_scale.yaml]
 """
 
 import argparse
+import json
 import sys
 
 from hdnn_audio.cli import main as cli_main
@@ -23,7 +24,7 @@ def main() -> int:
     parser.add_argument("--out-dir", default="runs/arch_grid")
     args = parser.parse_args()
     return cli_main(["--config", args.config,
-                     "--set", f"paths.corpus_dir={args.corpus_dir}",
+                     "--set", f"paths.corpus_dir={json.dumps(args.corpus_dir)}",
                      "--seed", str(args.seed),
                      "--out-dir", args.out_dir,
                      "grid-arch", "--depths", args.depths,

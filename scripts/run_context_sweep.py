@@ -10,6 +10,7 @@ Usage: python scripts/run_context_sweep.py [--config configs/desk_scale.yaml]
 """
 
 import argparse
+import json
 import sys
 
 from hdnn_audio.cli import main as cli_main
@@ -24,7 +25,7 @@ def main() -> int:
     parser.add_argument("--out-dir", default="runs/context_sweep")
     args = parser.parse_args()
     return cli_main(["--config", args.config,
-                     "--set", f"paths.corpus_dir={args.corpus_dir}",
+                     "--set", f"paths.corpus_dir={json.dumps(args.corpus_dir)}",
                      "--set", "nn.hidden_dims=[1000]",
                      "--seed", str(args.seed),
                      "--out-dir", args.out_dir,

@@ -12,29 +12,39 @@ import json
 import sys
 from pathlib import Path
 
-from . import evaluation, gmm, hierarchy, mlp, systems
+from . import evaluation, mlp, systems
 from .config import RunConfig, fingerprint, load_config, write_snapshot
 from .data import generate_synthetic_corpus, load_annotations
 from .errors import ConfigError, DataError, HdnnError, TrainingDiverged
-from .features import ContextConfig, append_deltas, stack_context
+from .features import ContextConfig, NormStats
 
 EXIT_CONFIG_ERROR = 2
 EXIT_DATA_ERROR = 3
 EXIT_TRAINING_DIVERGED = 4
+SYSTEM_FILE = "system.acsy"
 
 
-def _prepare(cfg: RunConfig) -> systems.PreparedCorpus:
+def _prepare(cfg: RunConfig, norm: NormStats | None = None) -> systems.PreparedCorpus:
     corpus_dir = Path(cfg.paths.corpus_dir)
     segments = load_annotations(corpus_dir / "annotations.csv", check_audio=True)
     return systems.prepare_corpus(segments, corpus_dir, seed=cfg.seed,
-                                  train_fraction=cfg.train_fraction)
+                                  train_fraction=cfg.train_fraction, norm=norm)
 
 
-def _finish_report(cfg: RunConfig, out_dir: Path, report) -> None:
-    report.config_fingerprint = fingerprint(cfg)
+def _report(out_dir: Path, system: systems.System,
+            corpus: systems.PreparedCorpus) -> None:
+    report = evaluation.evaluate(system.classify, corpus.test, corpus.labels,
+                                 config_fingerprint=system.config_fingerprint)
     print(evaluation.format_report(report))
     evaluation.write_report_csv(report, out_dir / "report.csv")
     (out_dir / "report.txt").write_text(evaluation.format_report(report) + "\n")
+
+
+def _save_and_report(cfg: RunConfig, out_dir: Path, system: systems.System,
+                     corpus: systems.PreparedCorpus) -> None:
+    system.config_fingerprint = fingerprint(cfg)
+    systems.save_system(system, out_dir / SYSTEM_FILE)
+    _report(out_dir, system, corpus)
 
 
 def cmd_synth_data(cfg: RunConfig, out_dir: Path) -> None:
@@ -44,67 +54,42 @@ def cmd_synth_data(cfg: RunConfig, out_dir: Path) -> None:
 
 def cmd_train_gmm(cfg: RunConfig, out_dir: Path) -> None:
     corpus = _prepare(cfg)
-    bank, classifier = systems.train_gmm_system(
+    system, _ = systems.train_gmm_system(
         corpus, num_components=cfg.gmm.num_components,
         iterations=cfg.gmm.iterations, seed=cfg.seed,
         feature_mode=cfg.gmm.feature_mode, width=cfg.gmm.stacked_width)
-    gmm.save_bank(bank, out_dir / "bank.acgm")
-    _finish_report(cfg, out_dir,
-                   evaluation.evaluate(classifier, corpus.test, corpus.labels))
+    _save_and_report(cfg, out_dir, system, corpus)
 
 
 def cmd_train_nn(cfg: RunConfig, out_dir: Path) -> None:
     corpus = _prepare(cfg)
-    model, classifier, history = systems.train_nn_system(
+    system, _, history = systems.train_nn_system(
         corpus, hidden_dims=cfg.nn.hidden_dims, width=cfg.context.width,
         schedule=cfg.nn.schedule, dct_keep=cfg.context.dct_keep,
         pretrain=cfg.pretrain)
-    mlp.save_model(model, out_dir / "model.acnn")
     mlp.write_history_csv(history, out_dir / "history.csv")
-    _finish_report(cfg, out_dir,
-                   evaluation.evaluate(classifier, corpus.test, corpus.labels))
+    _save_and_report(cfg, out_dir, system, corpus)
 
 
 def cmd_train_hdnn(cfg: RunConfig, out_dir: Path) -> None:
     corpus = _prepare(cfg)
-    cascade, classifier = systems.train_hdnn_system(
+    system, _ = systems.train_hdnn_system(
         corpus, cfg.context,
         stage1_hidden=cfg.nn.hidden_dims, stage2_hidden=cfg.stage2.hidden_dims,
         schedule_first=cfg.nn.schedule, schedule_second=cfg.stage2.schedule,
         pretrain=cfg.pretrain, sparse=cfg.sparse)
-    hierarchy.save_cascade(cascade, out_dir / "cascade.achd")
-    _finish_report(cfg, out_dir,
-                   evaluation.evaluate(classifier, corpus.test, corpus.labels))
+    _save_and_report(cfg, out_dir, system, corpus)
 
 
 def cmd_evaluate(cfg: RunConfig, out_dir: Path, model_path: str) -> None:
-    corpus = _prepare(cfg)
-    magic = open(model_path, "rb").read(4)
-    if magic == b"ACNN":
-        model = mlp.load_model(model_path)
-        transform = systems.context_transform(cfg.context.width, cfg.context.dct_keep)
-
-        def classifier(seq):
-            return mlp.predict_frames(model, transform(seq))
-    elif magic == b"ACHD":
-        cascade = hierarchy.load_cascade(model_path)
-        transform = systems.context_transform(cfg.context.width, cfg.context.dct_keep)
-
-        def classifier(seq):
-            return hierarchy.classify(cascade, transform(seq))
-    elif magic == b"ACGM":
-        bank = gmm.load_bank(model_path)
-        if cfg.gmm.feature_mode == "delta42":
-            def classifier(seq):
-                return gmm.classify_frames(bank, append_deltas(seq).frames)
-        else:
-            def classifier(seq):
-                return gmm.classify_frames(
-                    bank, stack_context(seq, cfg.gmm.stacked_width).frames)
-    else:
-        raise DataError(f"{model_path}: unrecognized model file")
-    _finish_report(cfg, out_dir,
-                   evaluation.evaluate(classifier, corpus.test, corpus.labels))
+    """Score a saved system on the test split the config selects; the
+    system file supplies the front-end, both norms and the model."""
+    system = systems.load_system(model_path)
+    corpus = _prepare(cfg, norm=system.mfcc_norm)
+    if corpus.labels != system.labels:
+        raise DataError(f"{model_path}: trained on concepts {system.labels}, "
+                        f"but the corpus has {corpus.labels}")
+    _report(out_dir, system, corpus)
 
 
 def cmd_sweep_context(cfg: RunConfig, out_dir: Path, widths: list[int]) -> None:
@@ -182,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("synth-data", "train-gmm", "train-nn", "train-hdnn"):
         sub.add_parser(name)
     p = sub.add_parser("evaluate")
-    p.add_argument("--model", required=True, help="model/cascade/bank file")
+    p.add_argument("--model", required=True, help=f"system file ({SYSTEM_FILE})")
     p = sub.add_parser("sweep-context")
     p.add_argument("--widths", required=True, type=_comma_list(_context_width),
                    help="comma-separated odd context widths")

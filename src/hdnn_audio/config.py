@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import re
 import types
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -30,6 +31,17 @@ GMM_FEATURE_MODES = ("delta42", "stacked")
 
 # derived from RunConfig.seed, never read from a file or an override
 DERIVED_KEY = "rng_seed"
+
+
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2 floats without a dot (``1e-3``);
+    PyYAML's YAML 1.1 resolver reads them as strings."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
 
 
 @dataclass
@@ -143,7 +155,7 @@ def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
     data = {}
     if path is not None:
         with open(path) as f:
-            data = yaml.safe_load(f) or {}
+            data = yaml.load(f, Loader=_Loader) or {}
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
@@ -154,7 +166,7 @@ def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
             node = node.setdefault(part, {})
             if not isinstance(node, dict):
                 raise ConfigError(f"override {key!r} descends into a scalar")
-        node[parts[-1]] = yaml.safe_load(raw)
+        node[parts[-1]] = yaml.load(raw, Loader=_Loader)
     return _from_dict(RunConfig, data)
 
 

@@ -4,7 +4,6 @@ frame scoring."""
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,53 +203,3 @@ def classify_frames(bank: GmmConceptBank, frames: np.ndarray) -> np.ndarray:
                        for label in bank.labels], axis=1)
     return scores.argmax(axis=1)
 
-
-# --- bank file format ("ACGM") ---
-
-_BANK_MAGIC = b"ACGM"
-_BANK_VERSION = 1
-
-
-def _write_gmm(f, gmm: DiagGmm) -> None:
-    f.write(gmm.weights.astype("<f8").tobytes())
-    f.write(gmm.means.astype("<f8").tobytes())
-    f.write(gmm.variances.astype("<f8").tobytes())
-
-
-def _read_gmm(f, k: int, d: int) -> DiagGmm:
-    weights = np.frombuffer(f.read(8 * k), dtype="<f8").copy()
-    means = np.frombuffer(f.read(8 * k * d), dtype="<f8").reshape(k, d).copy()
-    variances = np.frombuffer(f.read(8 * k * d), dtype="<f8").reshape(k, d).copy()
-    return DiagGmm(weights=weights, means=means, variances=variances)
-
-
-def save_bank(bank: GmmConceptBank, path) -> None:
-    k, d = bank.ubm.num_components, bank.ubm.dim
-    with open(path, "wb") as f:
-        f.write(_BANK_MAGIC)
-        f.write(struct.pack("<III", _BANK_VERSION, k, d))
-        f.write(struct.pack("<I", len(bank.labels)))
-        for label in bank.labels:
-            raw = label.encode("utf-8")
-            f.write(struct.pack("<I", len(raw)))
-            f.write(raw)
-        _write_gmm(f, bank.ubm)
-        for label in bank.labels:
-            _write_gmm(f, bank.concept_models[label])
-
-
-def load_bank(path) -> GmmConceptBank:
-    with open(path, "rb") as f:
-        if f.read(4) != _BANK_MAGIC:
-            raise DimensionMismatch(f"{path}: not a concept bank file")
-        version, k, d = struct.unpack("<III", f.read(12))
-        if version != _BANK_VERSION:
-            raise DimensionMismatch(f"{path}: unsupported version {version}")
-        (num_labels,) = struct.unpack("<I", f.read(4))
-        labels = []
-        for _ in range(num_labels):
-            (length,) = struct.unpack("<I", f.read(4))
-            labels.append(f.read(length).decode("utf-8"))
-        ubm = _read_gmm(f, k, d)
-        models = {label: _read_gmm(f, k, d) for label in labels}
-    return GmmConceptBank(ubm=ubm, concept_models=models, labels=labels)

@@ -4,7 +4,6 @@ classifies the sampled long-term context."""
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,34 +109,3 @@ def classify(cascade: CascadeModel, seq: FeatureSequence) -> np.ndarray:
     x2 = second_stage_inputs(cascade.first_stage, cascade.sparse, seq)
     return mlp.predict_frames(cascade.second_stage, x2)
 
-
-# --- cascade file format ("ACHD") ---
-
-_CASCADE_MAGIC = b"ACHD"
-_CASCADE_VERSION = 1
-
-
-def save_cascade(cascade: CascadeModel, path) -> None:
-    with open(path, "wb") as f:
-        f.write(_CASCADE_MAGIC)
-        f.write(struct.pack("<II", _CASCADE_VERSION, len(cascade.sparse.offsets)))
-        f.write(np.asarray(cascade.sparse.offsets, dtype="<i4").tobytes())
-        f.write(mlp.model_to_bytes(cascade.first_stage))
-        f.write(mlp.model_to_bytes(cascade.second_stage))
-
-
-def load_cascade(path) -> CascadeModel:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != _CASCADE_MAGIC:
-        raise DimensionMismatch(f"{path}: not a cascade file")
-    version, num_offsets = struct.unpack_from("<II", blob, 4)
-    if version != _CASCADE_VERSION:
-        raise DimensionMismatch(f"{path}: unsupported version {version}")
-    offsets = np.frombuffer(blob, dtype="<i4", count=num_offsets, offset=12)
-    pos = 12 + 4 * num_offsets
-    first, pos = mlp.model_from_bytes(blob, pos)
-    second, _ = mlp.model_from_bytes(blob, pos)
-    return CascadeModel(first_stage=first,
-                        sparse=SparseContextConfig(offsets=tuple(int(o) for o in offsets)),
-                        second_stage=second)

@@ -8,7 +8,6 @@ from __future__ import annotations
 import copy
 import csv
 import enum
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,56 +283,6 @@ def predict_frames(model: MlpModel, seq) -> np.ndarray:
     frames = seq.frames if isinstance(seq, FeatureSequence) else np.atleast_2d(seq)
     _, post = forward(model, frames)
     return post.argmax(axis=1)
-
-
-# --- model file format ("ACNN") ---
-
-_MODEL_MAGIC = b"ACNN"
-_MODEL_VERSION = 1
-_ACT_CODES = {Activation.SIGMOID: 0, Activation.SOFTMAX: 1}
-_CODE_ACTS = {v: k for k, v in _ACT_CODES.items()}
-
-
-def model_to_bytes(model: MlpModel) -> bytes:
-    parts = [_MODEL_MAGIC, struct.pack("<II", _MODEL_VERSION, len(model.layers))]
-    for layer in model.layers:
-        parts.append(struct.pack("<IIB", layer.in_dim, layer.out_dim,
-                                 _ACT_CODES[layer.activation]))
-        parts.append(layer.weights.astype("<f8").tobytes())
-        parts.append(layer.bias.astype("<f8").tobytes())
-    return b"".join(parts)
-
-
-def model_from_bytes(blob: bytes, offset: int = 0) -> tuple[MlpModel, int]:
-    """Parse a model from a byte buffer; returns (model, next offset)."""
-    if blob[offset:offset + 4] != _MODEL_MAGIC:
-        raise DimensionMismatch("not a model blob")
-    version, num_layers = struct.unpack_from("<II", blob, offset + 4)
-    if version != _MODEL_VERSION:
-        raise DimensionMismatch(f"unsupported model version {version}")
-    pos = offset + 12
-    layers = []
-    for _ in range(num_layers):
-        d_in, d_out, act = struct.unpack_from("<IIB", blob, pos)
-        pos += 9
-        w = np.frombuffer(blob, dtype="<f8", count=d_in * d_out,
-                          offset=pos).reshape(d_out, d_in).copy()
-        pos += 8 * d_in * d_out
-        bias = np.frombuffer(blob, dtype="<f8", count=d_out, offset=pos).copy()
-        pos += 8 * d_out
-        layers.append(Layer(weights=w, bias=bias, activation=_CODE_ACTS[act]))
-    return MlpModel(layers=layers), pos
-
-
-def save_model(model: MlpModel, path) -> None:
-    with open(path, "wb") as f:
-        f.write(model_to_bytes(model))
-
-
-def load_model(path) -> MlpModel:
-    with open(path, "rb") as f:
-        model, _ = model_from_bytes(f.read())
-    return model
 
 
 def write_history_csv(history: list[EpochRecord], path) -> None:

@@ -180,7 +180,8 @@ class TestCriterion3DctReduction:
 
 class TestCriterion4RbmHealth:
     def test_gb_rbm_reduces_reconstruction_error(self, corpus):
-        transform = systems.context_transform(49, 33)
+        transform = systems.System(corpus.labels, corpus.norm, width=49,
+                                   dct_keep=33).features
         x, _ = systems.pool_frames(corpus.train, transform)
         # normalize as the training pipeline does: GB-RBM assumes
         # unit-variance visibles
@@ -307,11 +308,11 @@ class TestCriterion9OracleEquivalence:
 
 class TestCriterion10Determinism:
     def train_gmm_bytes(self, corpus, tmp_path, tag):
-        bank, classifier = systems.train_gmm_system(
+        system, classifier = systems.train_gmm_system(
             corpus, num_components=8, iterations=5, seed=SEED,
             feature_mode="stacked", width=5)
-        path = tmp_path / f"bank_{tag}.acgm"
-        gmm.save_bank(bank, path)
+        path = tmp_path / f"gmm_{tag}.acsy"
+        systems.save_system(system, path)
         report = evaluation.evaluate(classifier, corpus.test, corpus.labels)
         return path.read_bytes(), report
 
@@ -324,10 +325,10 @@ class TestCriterion10Determinism:
     def train_nn_bytes(self, corpus, tmp_path, tag):
         schedule = mlp.TrainSchedule(initial_lr=0.4, minibatch_frames=64,
                                      max_epochs=3, rng_seed=SEED)
-        model, classifier, _ = systems.train_nn_system(
+        system, classifier, _ = systems.train_nn_system(
             corpus, hidden_dims=[32], width=1, schedule=schedule)
-        path = tmp_path / f"model_{tag}.acnn"
-        mlp.save_model(model, path)
+        path = tmp_path / f"nn_{tag}.acsy"
+        systems.save_system(system, path)
         report = evaluation.evaluate(classifier, corpus.test, corpus.labels)
         return path.read_bytes(), report
 

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 import yaml
 
-from hdnn_audio import cli
+from hdnn_audio import cli, mlp, systems
 from hdnn_audio.cli import main
 from hdnn_audio.config import (RunConfig, config_to_dict, fingerprint,
                                load_config, write_snapshot)
 from hdnn_audio.errors import ConfigError
+from hdnn_audio.features import NormStats
 
 
 class TestLoadConfig:
@@ -29,6 +30,14 @@ class TestLoadConfig:
         assert cfg.context.width == 9
         # untouched sections keep their defaults
         assert cfg.gmm.iterations == 20
+
+    @pytest.mark.parametrize("text", ["1e-3", "1.0e-3", "1E-3", ".1e-2"])
+    def test_exponent_floats(self, text, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text(f"nn:\n  schedule:\n    initial_lr: {text}\n")
+        assert load_config(path).nn.schedule.initial_lr == 0.001
+        cfg = load_config(None, [f"nn.schedule.initial_lr={text}"])
+        assert cfg.nn.schedule.initial_lr == 0.001
 
     def test_unknown_top_level_key(self, tmp_path):
         path = tmp_path / "run.yaml"
@@ -131,13 +140,13 @@ class TestCli:
                   "--set", "gmm.iterations=3"]
         rc = main(common + ["--out-dir", str(out), "train-gmm"])
         assert rc == 0
-        assert (out / "bank.acgm").exists()
+        assert (out / "system.acsy").exists()
         report = (out / "report.csv").read_text()
         assert "OVERALL" in report
 
         out2 = tmp_path / "eval"
         rc = main(common + ["--out-dir", str(out2), "evaluate",
-                            "--model", str(out / "bank.acgm")])
+                            "--model", str(out / "system.acsy")])
         assert rc == 0
         assert (out2 / "report.csv").read_text() == report
 
@@ -151,7 +160,7 @@ class TestCli:
                    "--set", "context.dct_enabled=false",
                    "--out-dir", str(out), "train-nn"])
         assert rc == 0
-        assert (out / "model.acnn").exists()
+        assert (out / "system.acsy").exists()
         history = (out / "history.csv").read_text().splitlines()
         assert history[0].startswith("epoch")
         assert len(history) >= 2
@@ -175,8 +184,118 @@ class TestCli:
                        "--set", "gmm.iterations=2",
                        "--out-dir", str(out), "train-gmm"])
             assert rc == 0
-            reports.append((out / "bank.acgm").read_bytes())
+            reports.append((out / "system.acsy").read_bytes())
         assert reports[0] == reports[1]
+
+
+# small settings for each training command; a geometry, front-end and
+# schedule that evaluate's own (default) config does not share
+NN_SETTINGS = ["nn.hidden_dims=[8]", "nn.schedule.max_epochs=2",
+               "nn.schedule.minibatch_frames=64", "context.width=9",
+               "context.dct_keep_per_band=3", "pretrain=null"]
+TRAINED_SYSTEMS = {
+    "train-nn": NN_SETTINGS,
+    "train-hdnn": NN_SETTINGS + [
+        "stage2.hidden_dims=[6]", "stage2.schedule.max_epochs=2",
+        "stage2.schedule.minibatch_frames=64", "sparse.offsets=[-2, 0, 2]"],
+    "train-gmm": ["gmm.feature_mode=stacked", "gmm.stacked_width=3",
+                  "gmm.num_components=2", "gmm.iterations=3"],
+}
+
+
+class TestSystemFile:
+    @pytest.mark.parametrize("command", list(TRAINED_SYSTEMS))
+    def test_evaluate_reproduces_training_report(self, command, cli_corpus,
+                                                 tmp_path):
+        corpus = ["--set", f"paths.corpus_dir={cli_corpus}"]
+        settings = [arg for item in TRAINED_SYSTEMS[command]
+                    for arg in ("--set", item)]
+        train = tmp_path / "train"
+        assert main(corpus + settings + ["--out-dir", str(train), command]) == 0
+        out = tmp_path / "eval"
+        assert main(corpus + ["--out-dir", str(out), "evaluate",
+                              "--model", str(train / "system.acsy")]) == 0
+        # report.txt carries the training fingerprint, not evaluate's
+        for name in ("report.csv", "report.txt"):
+            assert (out / name).read_bytes() == (train / name).read_bytes()
+
+    def test_evaluate_normalizes_with_the_stored_mfcc_norm(self, cli_corpus,
+                                                           tmp_path):
+        corpus = ["--set", f"paths.corpus_dir={cli_corpus}"]
+        settings = [arg for item in TRAINED_SYSTEMS["train-gmm"]
+                    for arg in ("--set", item)]
+        train = tmp_path / "train"
+        assert main(corpus + settings + ["--out-dir", str(train), "train-gmm"]) == 0
+        system = systems.load_system(train / "system.acsy")
+        system.mfcc_norm = NormStats(system.mfcc_norm.mean + 1.0,
+                                     system.mfcc_norm.std)
+        systems.save_system(system, tmp_path / "shifted.acsy")
+        out = tmp_path / "eval"
+        assert main(corpus + ["--out-dir", str(out), "evaluate",
+                              "--model", str(tmp_path / "shifted.acsy")]) == 0
+        # the same clips normalized otherwise score otherwise
+        assert (out / "report.csv").read_text() != (train / "report.csv").read_text()
+
+
+def _cut_arrays(fraction):
+    def cut(blob, arrays_at):
+        return blob[:arrays_at + int(fraction * (len(blob) - arrays_at))]
+    return cut
+
+
+# (intact file bytes, offset of the first array) -> corrupt bytes
+CORRUPTIONS = {
+    "empty": lambda blob, at: b"",
+    "bad_magic": lambda blob, at: b"ACNN" + blob[4:],
+    "unknown_version": lambda blob, at: blob[:4] + b"\x02\0\0\0" + blob[8:],
+    "header_cut_short": lambda blob, at: blob[:at - 10],
+    "arrays_cut_25": _cut_arrays(0.25),
+    "arrays_cut_50": _cut_arrays(0.50),
+    "arrays_cut_99": _cut_arrays(0.99),
+    "trailing_byte": lambda blob, at: blob + b"\0",
+    "missing_array": lambda blob, at: blob.replace(b'"net.0.bias"',
+                                                   b'"net.0.bia5"', 1),
+    "missing_path": None,
+}
+
+
+def write_small_system(path):
+    """An untrained two-concept NN system on 3 stacked frames."""
+    systems.save_system(systems.System(
+        labels=["a", "b"], mfcc_norm=NormStats(np.zeros(14), np.ones(14)),
+        width=3, input_norm=NormStats(np.zeros(42), np.ones(42)),
+        model=mlp.init_random([42, 4, 2], np.random.default_rng(0))), path)
+
+
+@pytest.mark.parametrize("case", list(CORRUPTIONS))
+def test_corrupt_system_file_exits_3_before_corpus(case, tmp_path, capsys):
+    path = tmp_path / "system.acsy"
+    write_small_system(path)
+    systems.load_system(path)
+    if CORRUPTIONS[case] is None:
+        path.unlink()
+    else:
+        blob = path.read_bytes()
+        arrays_at = 12 + int.from_bytes(blob[8:12], "little")
+        path.write_bytes(CORRUPTIONS[case](blob, arrays_at))
+    # the corpus dir is missing: a file checked only after the corpus was
+    # read would fail on the corpus and not name the system file
+    rc = main(["--set", f"paths.corpus_dir={tmp_path / 'missing'}",
+               "--out-dir", str(tmp_path / "run"),
+               "evaluate", "--model", str(path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"{path}:" in err and "system file" in err
+
+
+def test_evaluate_rejects_other_concepts(cli_corpus, tmp_path, capsys):
+    path = tmp_path / "system.acsy"
+    write_small_system(path)
+    rc = main(["--set", f"paths.corpus_dir={cli_corpus}",
+               "--out-dir", str(tmp_path / "run"),
+               "evaluate", "--model", str(path)])
+    assert rc == 3
+    assert "trained on concepts ['a', 'b']" in capsys.readouterr().err
 
 
 # each value is rejected when the config loads; the corpus dir is missing,
@@ -284,3 +403,22 @@ def test_script_help(script, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         runpy.run_path(str(script), run_name="__main__")
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("script, command", [
+    ("make_corpus.py", "cmd_synth_data"),
+    ("run_arch_grid.py", "cmd_grid_arch"),
+    ("run_context_sweep.py", "cmd_sweep_context"),
+])
+def test_script_corpus_dir_stays_a_string(script, command, monkeypatch, tmp_path):
+    seen = []
+    monkeypatch.setattr(cli, command, lambda cfg, *args: seen.append(cfg))
+    monkeypatch.chdir(tmp_path)
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.setattr(sys, "argv", [script, "--corpus-dir", "2024", "--config",
+                                      str(root / "configs" / "desk_scale.yaml")])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(root / "scripts" / script), run_name="__main__")
+    assert exc.value.code == 0
+    (cfg,) = seen
+    assert cfg.paths.corpus_dir == "2024"

@@ -8,8 +8,7 @@ from hdnn_audio import gmm
 from hdnn_audio.errors import DataTooSmall, DimensionMismatch, EmptyInput
 from hdnn_audio.gmm import (DiagGmm, GmmConceptBank, adapt_concept,
                             classify_frames, em_train, kmeans_pp_init,
-                            load_bank, log_likelihoods, save_bank, train_ubm,
-                            ubm_global_variance)
+                            log_likelihoods, train_ubm, ubm_global_variance)
 
 
 def random_gmm(rng, k=3, d=4):
@@ -167,31 +166,6 @@ class TestScoring:
         pred = classify_frames(bank, data)
         acc = np.mean(pred == np.repeat([0, 1], 200))
         assert acc > 0.95
-
-
-class TestBankFiles:
-    def test_round_trip(self, tmp_path, rng):
-        data = two_cluster_data(rng)
-        ubm = train_ubm(data, k=2, iterations=3, seed=0)
-        bank = GmmConceptBank(
-            ubm=ubm,
-            concept_models={"a": adapt_concept(ubm, data[:200], 2),
-                            "b": adapt_concept(ubm, data[200:], 2)},
-            labels=["a", "b"])
-        save_bank(bank, tmp_path / "bank.acgm")
-        loaded = load_bank(tmp_path / "bank.acgm")
-        assert loaded.labels == bank.labels
-        np.testing.assert_array_equal(loaded.ubm.means, bank.ubm.means)
-        for label in bank.labels:
-            np.testing.assert_array_equal(
-                loaded.concept_models[label].variances,
-                bank.concept_models[label].variances)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.acgm"
-        path.write_bytes(b"JUNK" + b"\x00" * 32)
-        with pytest.raises(DimensionMismatch):
-            load_bank(path)
 
 
 class TestEmProperty:

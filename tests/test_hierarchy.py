@@ -6,9 +6,8 @@ from hdnn_audio import hierarchy, mlp
 from hdnn_audio.errors import DimensionMismatch
 from hdnn_audio.features import FeatureKind, FeatureSequence
 from hdnn_audio.hierarchy import (CascadeModel, SparseContextConfig, classify,
-                                  load_cascade, posteriorgram, save_cascade,
-                                  second_stage_inputs, sparse_stack,
-                                  train_cascade)
+                                  posteriorgram, second_stage_inputs,
+                                  sparse_stack, train_cascade)
 
 
 def make_cascade(rng, num_classes=3, in_dim=5):
@@ -125,23 +124,9 @@ class TestTrainCascade:
                                     schedule_first=self.schedule(),
                                     schedule_second=self.schedule(),
                                     sparse=SparseContextConfig(offsets=(-1, 0, 1)))
-            outs.append(mlp.model_to_bytes(cascade.first_stage)
-                        + mlp.model_to_bytes(cascade.second_stage))
+            outs.append([array.tobytes() for net in (cascade.first_stage,
+                                                     cascade.second_stage)
+                         for layer in net.layers
+                         for array in (layer.weights, layer.bias)])
         assert outs[0] == outs[1]
 
-
-class TestCascadeFiles:
-    def test_round_trip(self, tmp_path, rng):
-        cascade = make_cascade(rng)
-        save_cascade(cascade, tmp_path / "c.achd")
-        loaded = load_cascade(tmp_path / "c.achd")
-        assert loaded.sparse.offsets == cascade.sparse.offsets
-        np.testing.assert_array_equal(loaded.first_stage.layers[0].weights,
-                                      cascade.first_stage.layers[0].weights)
-        np.testing.assert_array_equal(loaded.second_stage.layers[-1].bias,
-                                      cascade.second_stage.layers[-1].bias)
-
-    def test_bad_magic(self, tmp_path):
-        (tmp_path / "bad.achd").write_bytes(b"NOPE" + b"\x00" * 20)
-        with pytest.raises(DimensionMismatch):
-            load_cascade(tmp_path / "bad.achd")

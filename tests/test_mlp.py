@@ -7,9 +7,8 @@ from hdnn_audio.errors import (DimensionMismatch, LabelOutOfRange,
                                NonFiniteGradient)
 from hdnn_audio.mlp import (Activation, Layer, MlpModel, NewbobSchedule,
                             TrainSchedule, backprop_step, cross_entropy,
-                            forward, gradients, init_random, load_model,
-                            model_from_bytes, model_to_bytes, predict_frames,
-                            save_model, sigmoid, train)
+                            forward, gradients, init_random, predict_frames,
+                            sigmoid, train)
 
 
 def small_model(rng, dims=(4, 6, 3)):
@@ -330,7 +329,9 @@ class TestTrain:
         init = init_random([2, 8, 2], np.random.default_rng(0))
         m1, h1 = train(init, (x, y), self.schedule())
         m2, h2 = train(init, (x, y), self.schedule())
-        assert model_to_bytes(m1) == model_to_bytes(m2)
+        for l1, l2 in zip(m1.layers, m2.layers, strict=True):
+            assert l1.weights.tobytes() == l2.weights.tobytes()
+            assert l1.bias.tobytes() == l2.bias.tobytes()
         assert [r.cv_accuracy for r in h1] == [r.cv_accuracy for r in h2]
 
     def test_min_epochs_defers_stopping(self, rng):
@@ -357,29 +358,6 @@ class TestPredict:
         model = MlpModel([Layer(weights=w, bias=np.zeros(3),
                                 activation=Activation.SOFTMAX)])
         assert predict_frames(model, np.array([[1.0, 2.0]]))[0] == 0
-
-
-class TestModelFiles:
-    def test_bytes_round_trip(self, rng):
-        model = init_random([3, 5, 2], rng)
-        blob = model_to_bytes(model)
-        loaded, offset = model_from_bytes(blob)
-        assert offset == len(blob)
-        for a, b in zip(model.layers, loaded.layers):
-            np.testing.assert_array_equal(a.weights, b.weights)
-            np.testing.assert_array_equal(a.bias, b.bias)
-            assert a.activation is b.activation
-
-    def test_file_round_trip(self, tmp_path, rng):
-        model = init_random([4, 3], rng)
-        save_model(model, tmp_path / "m.acnn")
-        loaded = load_model(tmp_path / "m.acnn")
-        np.testing.assert_array_equal(loaded.layers[0].weights,
-                                      model.layers[0].weights)
-
-    def test_bad_magic(self):
-        with pytest.raises(DimensionMismatch):
-            model_from_bytes(b"XXXX" + b"\x00" * 16)
 
 
 class TestInit:

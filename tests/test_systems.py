@@ -1,0 +1,118 @@
+import dataclasses
+
+import numpy as np
+import pytest
+
+from hdnn_audio import hierarchy, mlp, systems
+from hdnn_audio.features import ContextConfig, NormStats
+
+
+def schedule(seed):
+    return mlp.TrainSchedule(initial_lr=0.4, minibatch_frames=32,
+                             max_epochs=2, rng_seed=seed)
+
+
+@pytest.fixture(scope="module")
+def corpus(tiny_segments, tiny_corpus_dir):
+    return systems.prepare_corpus(tiny_segments, tiny_corpus_dir, seed=7)
+
+
+# each builder's result tuple, keyed by the system it trains
+BUILDERS = {
+    "nn": lambda corpus: systems.train_nn_system(
+        corpus, hidden_dims=[8], width=5, schedule=schedule(0), dct_keep=3),
+    "hdnn": lambda corpus: systems.train_hdnn_system(
+        corpus, ContextConfig(width=9, dct_enabled=True, dct_keep_per_band=3),
+        stage1_hidden=[8], stage2_hidden=[6], schedule_first=schedule(0),
+        schedule_second=schedule(1),
+        sparse=hierarchy.SparseContextConfig(offsets=(-2, 0, 2))),
+    "gmm_delta42": lambda corpus: systems.train_gmm_system(
+        corpus, num_components=2, iterations=2, feature_mode="delta42"),
+    "gmm_stacked": lambda corpus: systems.train_gmm_system(
+        corpus, num_components=2, iterations=2, feature_mode="stacked", width=3),
+}
+
+
+@pytest.fixture(scope="module")
+def trained(corpus):
+    return {name: build(corpus) for name, build in BUILDERS.items()}
+
+
+def model_arrays(model):
+    """Every parameter array of a model, in a fixed order."""
+    if isinstance(model, mlp.MlpModel):
+        return [a for layer in model.layers for a in (layer.weights, layer.bias)]
+    if isinstance(model, hierarchy.CascadeModel):
+        return model_arrays(model.first_stage) + model_arrays(model.second_stage)
+    return [a for g in [model.ubm] + [model.concept_models[label]
+                                      for label in model.labels]
+            for a in (g.weights, g.means, g.variances)]
+
+
+def test_prepare_corpus_applies_a_given_norm(tiny_segments, tiny_corpus_dir,
+                                              corpus):
+    norm = NormStats(mean=corpus.norm.mean + 1.0, std=corpus.norm.std * 2.0)
+    again = systems.prepare_corpus(tiny_segments, tiny_corpus_dir, seed=7,
+                                   norm=norm)
+    assert again.norm is norm
+    for (fitted, _), (given, _) in zip(corpus.test, again.test, strict=True):
+        np.testing.assert_allclose(given.frames,
+                                   (fitted.frames - 1.0 / corpus.norm.std) / 2.0)
+
+
+class TestSystemFile:
+    @pytest.mark.parametrize("name", list(BUILDERS))
+    def test_round_trip_is_exact(self, name, trained, corpus, tmp_path):
+        system = dataclasses.replace(trained[name][0],
+                                     config_fingerprint="0123456789abcdef")
+        systems.save_system(system, tmp_path / "a.acsy")
+        loaded = systems.load_system(tmp_path / "a.acsy")
+
+        assert type(loaded.model) is type(system.model)
+        assert (loaded.labels, loaded.width, loaded.dct_keep, loaded.deltas,
+                loaded.config_fingerprint) == (
+            system.labels, system.width, system.dct_keep, system.deltas,
+            system.config_fingerprint)
+        for a, b in zip(model_arrays(loaded.model), model_arrays(system.model),
+                        strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        for norm in ("mfcc_norm", "input_norm"):
+            stats, ref = getattr(loaded, norm), getattr(system, norm)
+            assert (stats is None) == (ref is None)
+            if ref is not None:
+                assert np.array_equal(stats.mean, ref.mean)
+                assert np.array_equal(stats.std, ref.std)
+        if isinstance(system.model, hierarchy.CascadeModel):
+            assert loaded.model.sparse.offsets == system.model.sparse.offsets
+        if isinstance(system.model, mlp.MlpModel):
+            assert ([layer.activation for layer in loaded.model.layers]
+                    == [layer.activation for layer in system.model.layers])
+
+        systems.save_system(loaded, tmp_path / "b.acsy")
+        assert (tmp_path / "b.acsy").read_bytes() == (tmp_path / "a.acsy").read_bytes()
+        for seq, _ in corpus.test:
+            assert np.array_equal(loaded.classify(seq), system.classify(seq))
+
+    def test_front_end_of_each_system(self, trained):
+        assert trained["nn"][0].input_norm.mean.shape == (14 * 3,)
+        assert trained["hdnn"][0].input_norm.mean.shape == (14 * 3,)
+        assert trained["gmm_delta42"][0].deltas
+        assert trained["gmm_delta42"][0].input_norm is None
+        assert trained["gmm_stacked"][0].model.ubm.dim == 14 * 3
+
+
+class TestBenchmarkContract:
+    """The benchmark uses element 1 of a builder's result as the
+    classifier and feeds it normalized MFCC sequences."""
+
+    @pytest.mark.parametrize("name", list(BUILDERS))
+    def test_element_one_classifies_normalized_mfcc(self, name, trained, corpus):
+        result = trained[name]
+        classifier = result[1]
+        assert callable(classifier)
+        for seq, _ in corpus.test:
+            labels = np.asarray(classifier(seq))
+            assert labels.shape == (seq.num_frames,)
+            assert np.issubdtype(labels.dtype, np.integer)
+            assert labels.min() >= 0 and labels.max() < len(corpus.labels)
+            assert np.array_equal(labels, result[0].classify(seq))
