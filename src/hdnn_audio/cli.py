@@ -35,9 +35,11 @@ def _report(out_dir: Path, system: systems.System,
             corpus: systems.PreparedCorpus) -> None:
     report = evaluation.evaluate(system.classify, corpus.test, corpus.labels,
                                  config_fingerprint=system.config_fingerprint)
-    print(evaluation.format_report(report))
+    # the files first: a closed stdout must not cost the run its report
+    text = evaluation.format_report(report)
     evaluation.write_report_csv(report, out_dir / "report.csv")
-    (out_dir / "report.txt").write_text(evaluation.format_report(report) + "\n")
+    (out_dir / "report.txt").write_text(text + "\n")
+    print(text)
 
 
 def _save_and_report(cfg: RunConfig, out_dir: Path, system: systems.System,

@@ -5,14 +5,15 @@ Pipeline: raw mono audio -> framed/windowed signal -> 14-dim MFCC
 stacking -> per-band temporal DCT reduction.
 
 Front-end conventions (fixed for every system in the package):
-16 kHz audio, pre-emphasis 0.97, 512-point FFT, 26 triangular mel
-filters over 0-8000 Hz, log floored at ln(1e-10), orthonormal DCT-II.
+16 kHz audio, 25 ms frames every 10 ms, pre-emphasis 0.97, 512-point
+FFT, 26 triangular mel filters over 0-8000 Hz, log floored at
+ln(1e-10), orthonormal DCT-II, 13 cepstra.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import scipy.fft
@@ -27,19 +28,11 @@ NFFT = 512
 NUM_MEL_FILTERS = 26
 MEL_LOW_HZ = 0.0
 MEL_HIGH_HZ = 8000.0
-LOG_FLOOR = float(np.log(1e-10))
 STD_FLOOR = 1e-8
 
-DEFAULT_FRAME_LENGTH_MS = 25.0
-DEFAULT_FRAME_SHIFT_MS = 10.0
-
-
-class FeatureKind(enum.Enum):
-    MFCC14 = "mfcc14"
-    MFCC_DELTA42 = "mfcc_delta42"
-    STACKED = "stacked"
-    DCT_REDUCED = "dct_reduced"
-    POSTERIOR = "posterior"
+FRAME_LENGTH_MS = 25.0
+FRAME_SHIFT_MS = 10.0
+NUM_CEPS = 13
 
 
 @dataclass
@@ -57,12 +50,10 @@ class AudioClip:
 
 @dataclass
 class FeatureSequence:
-    """T x D matrix of per-frame features plus frame timing metadata."""
+    """T x D matrix of per-frame features, one row every 10 ms."""
 
     frames: np.ndarray
-    feature_kind: FeatureKind
-    frame_shift_ms: float = DEFAULT_FRAME_SHIFT_MS
-    frame_length_ms: float = DEFAULT_FRAME_LENGTH_MS
+    frame_shift_ms: ClassVar[float] = FRAME_SHIFT_MS
 
     def __post_init__(self):
         self.frames = np.atleast_2d(np.asarray(self.frames, dtype=np.float64))
@@ -140,26 +131,25 @@ def _frame_matrix(samples: np.ndarray, win: int, hop: int) -> np.ndarray:
     return samples[idx]
 
 
-def frame_signal(clip: AudioClip,
-                 frame_length_ms: float = DEFAULT_FRAME_LENGTH_MS,
-                 frame_shift_ms: float = DEFAULT_FRAME_SHIFT_MS) -> np.ndarray:
+def _frame_samples(sample_rate: int) -> tuple[int, int]:
+    """(window, hop) in samples of the fixed 25 ms / 10 ms framing."""
+    return (int(round(FRAME_LENGTH_MS * sample_rate / 1000.0)),
+            int(round(FRAME_SHIFT_MS * sample_rate / 1000.0)))
+
+
+def frame_signal(clip: AudioClip) -> np.ndarray:
     """Split a clip into overlapping frames multiplied by a periodic Hamming window.
 
     Frame t starts at ``t * hop`` samples; a trailing partial frame is
     discarded. Raises ClipTooShort when no full frame fits.
     """
-    win = int(round(frame_length_ms * clip.sample_rate / 1000.0))
-    hop = int(round(frame_shift_ms * clip.sample_rate / 1000.0))
+    win, hop = _frame_samples(clip.sample_rate)
     frames = _frame_matrix(clip.samples, win, hop)
     return frames * periodic_hamming(win)[None, :]
 
 
-def mel_filterbank(sample_rate: int = CANONICAL_SAMPLE_RATE,
-                   nfft: int = NFFT,
-                   num_filters: int = NUM_MEL_FILTERS,
-                   low_hz: float = MEL_LOW_HZ,
-                   high_hz: float = MEL_HIGH_HZ) -> np.ndarray:
-    """Triangular mel filterbank as a (num_filters, nfft//2 + 1) matrix."""
+def mel_filterbank(sample_rate: int = CANONICAL_SAMPLE_RATE) -> np.ndarray:
+    """Triangular mel filterbank as a (NUM_MEL_FILTERS, NFFT//2 + 1) matrix."""
 
     def hz_to_mel(f):
         return 2595.0 * np.log10(1.0 + f / 700.0)
@@ -167,11 +157,12 @@ def mel_filterbank(sample_rate: int = CANONICAL_SAMPLE_RATE,
     def mel_to_hz(m):
         return 700.0 * (10.0 ** (m / 2595.0) - 1.0)
 
-    mel_points = np.linspace(hz_to_mel(low_hz), hz_to_mel(high_hz), num_filters + 2)
+    mel_points = np.linspace(hz_to_mel(MEL_LOW_HZ), hz_to_mel(MEL_HIGH_HZ),
+                             NUM_MEL_FILTERS + 2)
     hz_points = mel_to_hz(mel_points)
-    bins = np.floor((nfft + 1) * hz_points / sample_rate).astype(int)
-    fbank = np.zeros((num_filters, nfft // 2 + 1))
-    for j in range(num_filters):
+    bins = np.floor((NFFT + 1) * hz_points / sample_rate).astype(int)
+    fbank = np.zeros((NUM_MEL_FILTERS, NFFT // 2 + 1))
+    for j in range(NUM_MEL_FILTERS):
         left, center, right = bins[j], bins[j + 1], bins[j + 2]
         for i in range(left, center):
             fbank[j, i] = (i - left) / max(center - left, 1)
@@ -180,28 +171,27 @@ def mel_filterbank(sample_rate: int = CANONICAL_SAMPLE_RATE,
     return fbank
 
 
-_FBANK_CACHE: dict[tuple, np.ndarray] = {}
+_FBANK_CACHE: dict[int, np.ndarray] = {}
 
 
 def _cached_fbank(sample_rate: int) -> np.ndarray:
-    key = (sample_rate, NFFT, NUM_MEL_FILTERS)
-    if key not in _FBANK_CACHE:
-        _FBANK_CACHE[key] = mel_filterbank(sample_rate)
-    return _FBANK_CACHE[key]
+    if sample_rate not in _FBANK_CACHE:
+        _FBANK_CACHE[sample_rate] = mel_filterbank(sample_rate)
+    return _FBANK_CACHE[sample_rate]
 
 
 def _mfcc_from_frames(windowed: np.ndarray, raw_energy: np.ndarray,
-                      sample_rate: int, num_ceps: int) -> np.ndarray:
+                      sample_rate: int) -> np.ndarray:
     pspec = np.abs(np.fft.rfft(windowed, NFFT, axis=1)) ** 2
     mel_energies = pspec @ _cached_fbank(sample_rate).T
     log_mel = np.log(np.maximum(mel_energies, 1e-10))
-    ceps = scipy.fft.dct(log_mel, type=2, axis=1, norm="ortho")[:, :num_ceps]
+    ceps = scipy.fft.dct(log_mel, type=2, axis=1, norm="ortho")[:, :NUM_CEPS]
     log_e = np.log(np.maximum(raw_energy, 1e-10))
     return np.hstack([ceps, log_e[:, None]])
 
 
 def compute_mfcc(frame: np.ndarray, sample_rate: int,
-                 num_ceps: int = 13, raw_energy: float | None = None) -> np.ndarray:
+                 raw_energy: float | None = None) -> np.ndarray:
     """MFCC vector [C0..C12, logE] for one windowed frame.
 
     ``raw_energy`` overrides the energy term with the pre-window frame
@@ -211,25 +201,18 @@ def compute_mfcc(frame: np.ndarray, sample_rate: int,
     if raw_energy is None:
         raw_energy = float(np.sum(frame ** 2))
     return _mfcc_from_frames(frame[None, :], np.array([raw_energy]),
-                             sample_rate, num_ceps)[0]
+                             sample_rate)[0]
 
 
-def mfcc_sequence(clip: AudioClip,
-                  frame_length_ms: float = DEFAULT_FRAME_LENGTH_MS,
-                  frame_shift_ms: float = DEFAULT_FRAME_SHIFT_MS,
-                  num_ceps: int = 13) -> FeatureSequence:
+def mfcc_sequence(clip: AudioClip) -> FeatureSequence:
     """Full front-end: pre-emphasis, framing, MFCC + log raw energy per frame."""
     emphasized = np.append(clip.samples[0],
                            clip.samples[1:] - PREEMPHASIS * clip.samples[:-1])
-    win = int(round(frame_length_ms * clip.sample_rate / 1000.0))
-    hop = int(round(frame_shift_ms * clip.sample_rate / 1000.0))
+    win, hop = _frame_samples(clip.sample_rate)
     raw_frames = _frame_matrix(emphasized, win, hop)
     raw_energy = np.sum(raw_frames ** 2, axis=1)
     windowed = raw_frames * periodic_hamming(win)[None, :]
-    feats = _mfcc_from_frames(windowed, raw_energy, clip.sample_rate, num_ceps)
-    return FeatureSequence(frames=feats, feature_kind=FeatureKind.MFCC14,
-                           frame_shift_ms=frame_shift_ms,
-                           frame_length_ms=frame_length_ms)
+    return FeatureSequence(_mfcc_from_frames(windowed, raw_energy, clip.sample_rate))
 
 
 def _delta(frames: np.ndarray) -> np.ndarray:
@@ -248,10 +231,7 @@ def append_deltas(seq: FeatureSequence) -> FeatureSequence:
     """42-dim stream: statics, deltas, and delta-deltas of the deltas."""
     d = _delta(seq.frames)
     dd = _delta(d)
-    return FeatureSequence(frames=np.hstack([seq.frames, d, dd]),
-                           feature_kind=FeatureKind.MFCC_DELTA42,
-                           frame_shift_ms=seq.frame_shift_ms,
-                           frame_length_ms=seq.frame_length_ms)
+    return FeatureSequence(np.hstack([seq.frames, d, dd]))
 
 
 def fit_norm_stats(seqs: list[FeatureSequence]) -> NormStats:
@@ -270,10 +250,7 @@ def apply_norm(seq: FeatureSequence, stats: NormStats) -> FeatureSequence:
     if seq.dim != len(stats.mean):
         raise DimensionMismatch(
             f"sequence dim {seq.dim} != stats dim {len(stats.mean)}")
-    return FeatureSequence(frames=(seq.frames - stats.mean) / stats.std,
-                           feature_kind=seq.feature_kind,
-                           frame_shift_ms=seq.frame_shift_ms,
-                           frame_length_ms=seq.frame_length_ms)
+    return FeatureSequence((seq.frames - stats.mean) / stats.std)
 
 
 def stack_context(seq: FeatureSequence, width: int) -> FeatureSequence:
@@ -287,10 +264,7 @@ def stack_context(seq: FeatureSequence, width: int) -> FeatureSequence:
     t = seq.num_frames
     half = (width - 1) // 2
     idx = np.clip(np.arange(t)[:, None] + np.arange(-half, half + 1)[None, :], 0, t - 1)
-    stacked = seq.frames[idx].reshape(t, width * seq.dim)
-    return FeatureSequence(frames=stacked, feature_kind=FeatureKind.STACKED,
-                           frame_shift_ms=seq.frame_shift_ms,
-                           frame_length_ms=seq.frame_length_ms)
+    return FeatureSequence(seq.frames[idx].reshape(t, width * seq.dim))
 
 
 def temporal_dct_reduce(stacked: FeatureSequence, width: int,
@@ -311,10 +285,7 @@ def temporal_dct_reduce(stacked: FeatureSequence, width: int,
     # rows are frame-major ([frame -h .. +h] x bands); band trajectory sits on stride num_bands
     traj = stacked.frames.reshape(t, width, num_bands).transpose(0, 2, 1)
     coeffs = scipy.fft.dct(traj, type=2, axis=2, norm="ortho")[:, :, :keep_per_band]
-    return FeatureSequence(frames=coeffs.reshape(t, num_bands * keep_per_band),
-                           feature_kind=FeatureKind.DCT_REDUCED,
-                           frame_shift_ms=stacked.frame_shift_ms,
-                           frame_length_ms=stacked.frame_length_ms)
+    return FeatureSequence(coeffs.reshape(t, num_bands * keep_per_band))
 
 
 def invert_temporal_dct(reduced: FeatureSequence, width: int,
@@ -326,8 +297,5 @@ def invert_temporal_dct(reduced: FeatureSequence, width: int,
     padded = np.zeros((t, num_bands, width))
     padded[:, :, :keep_per_band] = coeffs
     traj = scipy.fft.idct(padded, type=2, axis=2, norm="ortho")
-    stacked = traj.transpose(0, 2, 1).reshape(t, width * num_bands)
-    return FeatureSequence(frames=stacked, feature_kind=FeatureKind.STACKED,
-                           frame_shift_ms=reduced.frame_shift_ms,
-                           frame_length_ms=reduced.frame_length_ms)
+    return FeatureSequence(traj.transpose(0, 2, 1).reshape(t, width * num_bands))
 

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import copy
 import csv
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,16 +17,10 @@ from .features import FeatureSequence
 POSTERIOR_CLAMP = 1e-12
 
 
-class Activation(enum.Enum):
-    SIGMOID = "sigmoid"
-    SOFTMAX = "softmax"
-
-
 @dataclass
 class Layer:
     weights: np.ndarray  # out_dim x in_dim
     bias: np.ndarray     # out_dim
-    activation: Activation
 
     @property
     def in_dim(self) -> int:
@@ -40,6 +33,9 @@ class Layer:
 
 @dataclass
 class MlpModel:
+    """Sigmoid hidden layers followed by a softmax output layer (the last
+    one in ``layers``)."""
+
     layers: list[Layer]
 
     def __post_init__(self):
@@ -47,10 +43,6 @@ class MlpModel:
             if a.out_dim != b.in_dim:
                 raise DimensionMismatch(
                     f"layer dims do not chain: {a.out_dim} -> {b.in_dim}")
-            if a.activation is Activation.SOFTMAX:
-                raise DimensionMismatch("softmax allowed only on the final layer")
-        if self.layers and self.layers[-1].activation is not Activation.SOFTMAX:
-            raise DimensionMismatch("final layer must be softmax")
 
     @property
     def input_dim(self) -> int:
@@ -142,15 +134,13 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 def init_random(layer_dims: list[int], rng: np.random.Generator) -> MlpModel:
     """Random init: weights uniform(-r, r) with r = sqrt(6/(in+out)), zero biases.
 
-    ``layer_dims`` lists every dimension input->...->output; the last
-    layer is softmax, all earlier ones sigmoid.
+    ``layer_dims`` lists every dimension input->...->output.
     """
     layers = []
-    for i, (d_in, d_out) in enumerate(zip(layer_dims, layer_dims[1:])):
+    for d_in, d_out in zip(layer_dims, layer_dims[1:]):
         r = np.sqrt(6.0 / (d_in + d_out))
         w = rng.uniform(-r, r, size=(d_out, d_in))
-        act = Activation.SOFTMAX if i == len(layer_dims) - 2 else Activation.SIGMOID
-        layers.append(Layer(weights=w, bias=np.zeros(d_out), activation=act))
+        layers.append(Layer(weights=w, bias=np.zeros(d_out)))
     return MlpModel(layers=layers)
 
 
@@ -165,10 +155,12 @@ def forward(model: MlpModel, batch: np.ndarray) -> tuple[list[np.ndarray], np.nd
             f"batch dim {batch.shape[1]} != model input {model.input_dim}")
     activations = [batch]
     a = batch
-    for layer in model.layers:
-        z = a @ layer.weights.T + layer.bias
-        a = _softmax(z) if layer.activation is Activation.SOFTMAX else sigmoid(z)
+    for layer in model.layers[:-1]:
+        a = sigmoid(a @ layer.weights.T + layer.bias)
         activations.append(a)
+    last = model.layers[-1]
+    a = _softmax(a @ last.weights.T + last.bias)
+    activations.append(a)
     return activations, a
 
 

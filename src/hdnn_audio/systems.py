@@ -20,9 +20,9 @@ import numpy as np
 from . import gmm, hierarchy, mlp, rbm
 from .data import AnnotatedSegment, load_segment_audio, split_dataset
 from .errors import DataError, HdnnError
-from .features import (ContextConfig, FeatureSequence, NormStats, append_deltas,
-                       apply_norm, fit_norm_stats, mfcc_sequence, stack_context,
-                       temporal_dct_reduce)
+from .features import (NUM_CEPS, ContextConfig, FeatureSequence, NormStats,
+                       append_deltas, apply_norm, fit_norm_stats, mfcc_sequence,
+                       stack_context, temporal_dct_reduce)
 
 
 @dataclass
@@ -38,9 +38,12 @@ class PreparedCorpus:
 def prepare_corpus(segments: list[AnnotatedSegment], audio_root,
                    seed: int = 0, train_fraction: float = 0.8,
                    norm: NormStats | None = None) -> PreparedCorpus:
-    """Extract MFCCs for every segment, split at the clip level, and
-    normalize with ``norm``, or with statistics fit on the training
-    split only when ``norm`` is None."""
+    """Split the segments at the clip level, extract MFCCs and normalize
+    them with statistics fit on the training split.
+
+    Given a ``norm`` (a trained system's), only the test split is
+    extracted and normalized with it, and ``train`` is left empty.
+    """
     labels = sorted({seg.label for seg in segments})
     label_index = {label: i for i, label in enumerate(labels)}
     train_segs, test_segs = split_dataset(segments, train_fraction, seed)
@@ -49,7 +52,7 @@ def prepare_corpus(segments: list[AnnotatedSegment], audio_root,
         return [(mfcc_sequence(load_segment_audio(seg, audio_root)),
                  label_index[seg.label]) for seg in segs]
 
-    train_raw = extract(train_segs)
+    train_raw = extract(train_segs) if norm is None else []
     test_raw = extract(test_segs)
     if norm is None:
         norm = fit_norm_stats([seq for seq, _ in train_raw])
@@ -123,6 +126,24 @@ def _fit_input_norm(system: System, corpus: PreparedCorpus
     return [(apply_norm(seq, system.input_norm), y) for seq, y in pre]
 
 
+def train_network(x: np.ndarray, y: np.ndarray, hidden_dims: list[int],
+                  num_classes: int, schedule: mlp.TrainSchedule,
+                  pretrain: rbm.PretrainConfig | None = None
+                  ) -> tuple[mlp.MlpModel, list[mlp.EpochRecord]]:
+    """The one recipe every network is built by: random init seeded by
+    ``schedule.rng_seed``, hidden layers replaced by an RBM stack
+    pre-trained on ``x`` when ``pretrain`` is set, then SGD fine-tuning.
+    Returns (model, per-epoch history)."""
+    rng = np.random.default_rng(schedule.rng_seed)
+    init = mlp.init_random([x.shape[1]] + hidden_dims + [num_classes], rng)
+    if pretrain is not None and hidden_dims:
+        stack = rbm.pretrain_stack(hidden_dims, x, pretrain)
+        for layer, (weights, bias) in zip(init.layers, stack):
+            layer.weights = weights
+            layer.bias = bias
+    return mlp.train(init, (x, y), schedule)
+
+
 def train_nn_system(corpus: PreparedCorpus, hidden_dims: list[int],
                     width: int, schedule: mlp.TrainSchedule,
                     dct_keep: int | None = None,
@@ -132,14 +153,8 @@ def train_nn_system(corpus: PreparedCorpus, hidden_dims: list[int],
     system = System(labels=list(corpus.labels), mfcc_norm=corpus.norm,
                     width=width, dct_keep=dct_keep)
     x, y = pool_frames(_fit_input_norm(system, corpus))
-    rng = np.random.default_rng(schedule.rng_seed)
-    init = mlp.init_random([x.shape[1]] + hidden_dims + [len(corpus.labels)], rng)
-    if pretrain is not None and hidden_dims:
-        stack = rbm.pretrain_stack(hidden_dims, x, pretrain)
-        for layer, (weights, bias) in zip(init.layers, stack):
-            layer.weights = weights
-            layer.bias = bias
-    system.model, history = mlp.train(init, (x, y), schedule)
+    system.model, history = train_network(x, y, hidden_dims, len(corpus.labels),
+                                          schedule, pretrain)
     return system, system.classify, history
 
 
@@ -150,14 +165,26 @@ def train_hdnn_system(corpus: PreparedCorpus, context: ContextConfig,
                       pretrain: rbm.PretrainConfig | None = None,
                       sparse: hierarchy.SparseContextConfig | None = None):
     """Train the two-stage cascade on DCT-reduced context features.
-    Returns (system, system.classify)."""
+
+    Stage 1 is (optionally RBM pre-trained and) fine-tuned on the pooled
+    frames; it is then frozen, its sparse-stacked posteriors over the
+    same clips become stage 2's inputs (per-frame labels unchanged), and
+    stage 2 is trained from random init. Returns (system, system.classify).
+    """
+    if sparse is None:
+        sparse = hierarchy.SparseContextConfig()
     system = System(labels=list(corpus.labels), mfcc_norm=corpus.norm,
                     width=context.width, dct_keep=context.dct_keep)
-    system.model = hierarchy.train_cascade(
-        _fit_input_norm(system, corpus), num_classes=len(corpus.labels),
-        stage1_hidden=stage1_hidden, stage2_hidden=stage2_hidden,
-        schedule_first=schedule_first, schedule_second=schedule_second,
-        pretrain_config=pretrain, sparse=sparse)
+    clips = _fit_input_norm(system, corpus)
+    num_classes = len(corpus.labels)
+    x1, y = pool_frames(clips)
+    stage1, _ = train_network(x1, y, stage1_hidden, num_classes,
+                              schedule_first, pretrain)
+    x2 = np.vstack([hierarchy.second_stage_inputs(stage1, sparse, seq)
+                    for seq, _ in clips])
+    stage2, _ = train_network(x2, y, stage2_hidden, num_classes, schedule_second)
+    system.model = hierarchy.CascadeModel(first_stage=stage1, sparse=sparse,
+                                          second_stage=stage2)
     return system, system.classify
 
 
@@ -191,11 +218,17 @@ def train_gmm_system(corpus: PreparedCorpus, num_components: int,
 SYSTEM_MAGIC = b"ACSY"
 SYSTEM_VERSION = 1
 # magic, version, header length; then the header (JSON, sorted keys), then
-# every array it names as <f8, in header order. Activations are not
-# stored: an MlpModel has sigmoid layers and a softmax last one.
+# every array it names as <f8, in header order. A network is stored as
+# its weights and biases alone: every MlpModel is sigmoid layers under a
+# softmax one.
 _PREAMBLE = struct.Struct("<4sII")
-_ARRAY_FIELDS = {NormStats: ("mean", "std"), mlp.Layer: ("weights", "bias"),
-                 gmm.DiagGmm: ("weights", "means", "variances")}
+# each stored field of a part with its axes; a letter is one size per part
+_ARRAY_FIELDS = {NormStats: {"mean": "d", "std": "d"},
+                 mlp.Layer: {"weights": "oi", "bias": "o"},
+                 gmm.DiagGmm: {"weights": "k", "means": "kd", "variances": "kd"}}
+# JSON types of the header's scalar fields (bool is not an int here)
+_HEADER_TYPES = {"labels": (list,), "width": (int,), "dct_keep": (int, type(None)),
+                 "deltas": (bool,), "config_fingerprint": (str,)}
 
 
 def save_system(system: System, path) -> None:
@@ -263,18 +296,32 @@ def _parse_system(blob: bytes) -> System:
                                      offset=pos).reshape(shape).copy()
         pos += 8 * count
 
-    def take(cls, prefix, **extra):
-        return cls(**{name: arrays[f"{prefix}.{name}"]
-                      for name in _ARRAY_FIELDS[cls]}, **extra)
+    def take(cls, prefix):
+        fields = {name: arrays[f"{prefix}.{name}"] for name in _ARRAY_FIELDS[cls]}
+        sizes = {}
+        for name, axes in _ARRAY_FIELDS[cls].items():
+            shape = fields[name].shape
+            if len(shape) != len(axes) or any(sizes.setdefault(axis, n) != n
+                                              for axis, n in zip(axes, shape)):
+                raise ValueError(f"{prefix}.{name} has shape {list(shape)}, "
+                                 f"which does not fit the other {prefix} arrays")
+        return cls(**fields)
 
     def net(prefix, num_layers):
-        return mlp.MlpModel(layers=[
-            take(mlp.Layer, f"{prefix}.{i}",
-                 activation=(mlp.Activation.SOFTMAX if i == num_layers - 1
-                             else mlp.Activation.SIGMOID))
-            for i in range(num_layers)])
+        if num_layers < 1:
+            raise ValueError(f"{prefix} has no layers")
+        return mlp.MlpModel(layers=[take(mlp.Layer, f"{prefix}.{i}")
+                                    for i in range(num_layers)])
 
-    labels = [str(label) for label in header["labels"]]
+    for key, types in _HEADER_TYPES.items():
+        if type(header[key]) not in types:
+            raise ValueError(f"{key} has the wrong type: {header[key]!r}")
+    labels = header["labels"]
+    if not all(type(label) is str for label in labels):
+        raise ValueError(f"labels must be strings, got {labels!r}")
+    width, dct_keep = header["width"], header["dct_keep"]
+    ContextConfig(width=width, dct_enabled=dct_keep is not None,
+                  dct_keep_per_band=width if dct_keep is None else dct_keep)
     if header["kind"] == "mlp":
         (num_layers,) = header["layers"]
         model = net("net", num_layers)
@@ -292,7 +339,35 @@ def _parse_system(blob: bytes) -> System:
     else:
         raise ValueError(f"unknown kind {header['kind']!r}")
     input_norm = take(NormStats, "input_norm") if "input_norm.mean" in arrays else None
-    return System(labels=labels, mfcc_norm=take(NormStats, "mfcc_norm"),
-                  width=header["width"], dct_keep=header["dct_keep"],
-                  deltas=header["deltas"], input_norm=input_norm, model=model,
-                  config_fingerprint=header["config_fingerprint"])
+    system = System(labels=labels, mfcc_norm=take(NormStats, "mfcc_norm"),
+                    width=width, dct_keep=dct_keep, deltas=header["deltas"],
+                    input_norm=input_norm, model=model,
+                    config_fingerprint=header["config_fingerprint"])
+    _check_dims(system)
+    return system
+
+
+def _check_dims(system: System) -> None:
+    """Raise unless the MFCC norm, the front-end, the input norm, the
+    model and the labels fit together."""
+    model = system.model
+    if isinstance(model, gmm.GmmConceptBank):
+        if any(g.means.shape != model.ubm.means.shape
+               for g in model.concept_models.values()):
+            raise ValueError("concept models differ in shape from the UBM")
+        in_dim, out_dim = model.ubm.dim, len(model.labels)
+    else:
+        nets = ([model] if isinstance(model, mlp.MlpModel)
+                else [model.first_stage, model.second_stage])
+        in_dim, out_dim = nets[0].input_dim, nets[-1].output_dim
+    mfcc_dim = len(system.mfcc_norm.mean)
+    if mfcc_dim != NUM_CEPS + 1:
+        raise ValueError(f"MFCC norm has {mfcc_dim} dims, not {NUM_CEPS + 1}")
+    feature_dim = mfcc_dim * (3 if system.deltas else system.dct_keep or system.width)
+    norm_dim = (feature_dim if system.input_norm is None
+                else len(system.input_norm.mean))
+    if not feature_dim == norm_dim == in_dim:
+        raise ValueError(f"front-end gives {feature_dim} dims, input norm has "
+                         f"{norm_dim}, model takes {in_dim}")
+    if out_dim != len(system.labels):
+        raise ValueError(f"{len(system.labels)} labels for {out_dim} model outputs")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hdnn_audio.data import SynthConfig, generate_synthetic_corpus, load_annotations
-from hdnn_audio.features import AudioClip, FeatureKind, FeatureSequence
+from hdnn_audio.features import AudioClip, FeatureSequence
 
 
 @pytest.fixture
@@ -19,8 +19,7 @@ def tone_clip():
 
 @pytest.fixture
 def small_seq(rng):
-    return FeatureSequence(frames=rng.standard_normal((20, 14)),
-                           feature_kind=FeatureKind.MFCC14)
+    return FeatureSequence(frames=rng.standard_normal((20, 14)))
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ from scipy.stats import norm
 from hdnn_audio import evaluation, gmm, hierarchy, mlp, rbm, systems
 from hdnn_audio.data import (SynthConfig, concept_families,
                              generate_synthetic_corpus, load_annotations)
-from hdnn_audio.features import (ContextConfig, FeatureKind, FeatureSequence,
+from hdnn_audio.features import (ContextConfig, FeatureSequence,
                                  invert_temporal_dct, stack_context,
                                  temporal_dct_reduce)
 
@@ -154,8 +154,7 @@ class TestCriterion2EmMonotonicity:
 
 class TestCriterion3DctReduction:
     def make_stacked(self, rng, t=12, bands=14, width=49):
-        seq = FeatureSequence(frames=rng.standard_normal((t, bands)),
-                              feature_kind=FeatureKind.MFCC14)
+        seq = FeatureSequence(frames=rng.standard_normal((t, bands)))
         return stack_context(seq, width)
 
     def test_full_coefficients_round_trip(self, rng):
@@ -167,8 +166,7 @@ class TestCriterion3DctReduction:
 
     def test_constant_trajectory_single_coefficient(self):
         frames = np.tile(np.arange(14.0), (49, 1)).reshape(1, -1)
-        stacked = FeatureSequence(frames=frames,
-                                  feature_kind=FeatureKind.STACKED)
+        stacked = FeatureSequence(frames=frames)
         coeffs = temporal_dct_reduce(stacked, 49, 49).frames.reshape(14, 49)
         assert np.all(np.abs(coeffs[:, 1:]) < 1e-10)
         assert np.abs(coeffs[1:, 0]).min() > 0
@@ -296,8 +294,7 @@ class TestCriterion9OracleEquivalence:
         second = mlp.init_random([4 * len(sparse.offsets), 10, 4], rng)
         cascade = hierarchy.CascadeModel(first_stage=first, sparse=sparse,
                                          second_stage=second)
-        seq = FeatureSequence(frames=rng.standard_normal((1000, 14)),
-                              feature_kind=FeatureKind.MFCC14)
+        seq = FeatureSequence(frames=rng.standard_normal((1000, 14)))
 
         post = mlp.forward(first, seq.frames)[1]
         stacked = hierarchy.sparse_stack(post, sparse)

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -6,8 +8,9 @@ import numpy as np
 import pytest
 import yaml
 
-from hdnn_audio import cli, mlp, systems
+from hdnn_audio import cli, gmm, mlp, systems
 from hdnn_audio.cli import main
+from hdnn_audio.data import load_annotations, split_dataset
 from hdnn_audio.config import (RunConfig, config_to_dict, fingerprint,
                                load_config, write_snapshot)
 from hdnn_audio.errors import ConfigError
@@ -219,6 +222,44 @@ class TestSystemFile:
         for name in ("report.csv", "report.txt"):
             assert (out / name).read_bytes() == (train / name).read_bytes()
 
+    def test_evaluate_extracts_only_the_test_clips(self, cli_corpus, tmp_path,
+                                                   monkeypatch):
+        corpus = ["--set", f"paths.corpus_dir={cli_corpus}"]
+        settings = [arg for item in TRAINED_SYSTEMS["train-gmm"]
+                    for arg in ("--set", item)]
+        train = tmp_path / "train"
+        assert main(corpus + settings + ["--out-dir", str(train), "train-gmm"]) == 0
+        calls = []
+        extract = systems.mfcc_sequence
+        monkeypatch.setattr(systems, "mfcc_sequence",
+                            lambda clip: calls.append(clip) or extract(clip))
+        out = tmp_path / "eval"
+        assert main(corpus + ["--out-dir", str(out), "evaluate",
+                              "--model", str(train / "system.acsy")]) == 0
+        segments = load_annotations(cli_corpus / "annotations.csv")
+        _, test = split_dataset(segments, 0.8, 0)
+        assert len(calls) == len(test) < len(segments)
+        assert (out / "report.csv").read_bytes() == (train / "report.csv").read_bytes()
+
+    def test_report_files_written_when_stdout_is_closed(self, cli_corpus,
+                                                        tmp_path, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        args = ["--set", f"paths.corpus_dir={cli_corpus}"] + [
+            arg for item in TRAINED_SYSTEMS["train-gmm"] for arg in ("--set", item)]
+        assert main(args + ["--out-dir", str(tmp_path / "a"), "train-gmm"]) == 0
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        main(args + ["--out-dir", str(tmp_path / "b"), "train-gmm"])
+        monkeypatch.undo()
+        for name in ("report.csv", "report.txt"):
+            assert ((tmp_path / "b" / name).read_bytes()
+                    == (tmp_path / "a" / name).read_bytes())
+
     def test_evaluate_normalizes_with_the_stored_mfcc_norm(self, cli_corpus,
                                                            tmp_path):
         corpus = ["--set", f"paths.corpus_dir={cli_corpus}"]
@@ -235,6 +276,16 @@ class TestSystemFile:
                               "--model", str(tmp_path / "shifted.acsy")]) == 0
         # the same clips normalized otherwise score otherwise
         assert (out / "report.csv").read_text() != (train / "report.csv").read_text()
+
+
+def _edit_header(**changes):
+    """A corruption that rewrites header fields, keeping the arrays."""
+    def edit(blob, arrays_at):
+        header = json.loads(blob[12:arrays_at])
+        header.update(changes)
+        head = json.dumps(header, sort_keys=True).encode()
+        return blob[:8] + len(head).to_bytes(4, "little") + head + blob[arrays_at:]
+    return edit
 
 
 def _cut_arrays(fraction):
@@ -256,15 +307,46 @@ CORRUPTIONS = {
     "missing_array": lambda blob, at: blob.replace(b'"net.0.bias"',
                                                    b'"net.0.bia5"', 1),
     "missing_path": None,
+    # well-formed files whose header does not fit together; the first two
+    # keep 14 x 3 = 42 model inputs, so only their geometry is wrong
+    "even_width": _edit_header(width=4, dct_keep=3),
+    "dct_keep_above_width": _edit_header(width=1, dct_keep=3),
+    "width_not_int": _edit_header(width="abc"),
+    "width_bool": _edit_header(width=True),
+    "dct_keep_not_int": _edit_header(dct_keep=3.0),
+    "deltas_not_bool": _edit_header(deltas=1),
+    "labels_not_list": _edit_header(labels="ab"),
+    "labels_not_strings": _edit_header(labels=[1, 2]),
+    "more_labels_than_outputs": _edit_header(labels=["a", "b", "c"]),
+    "front_end_dim": _edit_header(width=5),
+    # the same number of values, split 13 + 43 between two stds
+    "norm_shapes_differ": _edit_header(arrays=[
+        ["mfcc_norm.mean", [14]], ["mfcc_norm.std", [13]],
+        ["input_norm.mean", [42]], ["input_norm.std", [43]],
+        ["net.0.weights", [4, 42]], ["net.0.bias", [4]],
+        ["net.1.weights", [2, 4]], ["net.1.bias", [2]]]),
+    # whole files written from parts that do not fit together
+    "input_norm_dim": {"input_norm": NormStats(np.zeros(41), np.ones(41))},
+    "mfcc_norm_dim": {"mfcc_norm": NormStats(np.zeros(7), np.ones(7)),
+                      "width": 7, "dct_keep": 6},
+    "bias_shape": {"model": mlp.MlpModel([
+        mlp.Layer(np.zeros((4, 42)), np.zeros(5)),
+        mlp.Layer(np.zeros((2, 4)), np.zeros(2))])},
+    "concept_shape": {"model": gmm.GmmConceptBank(
+        ubm=gmm.DiagGmm(np.ones(2) / 2, np.zeros((2, 42)), np.ones((2, 42))),
+        concept_models={
+            "a": gmm.DiagGmm(np.ones(2) / 2, np.zeros((2, 42)), np.ones((2, 42))),
+            "b": gmm.DiagGmm(np.ones(3) / 3, np.zeros((3, 42)), np.ones((3, 42)))},
+        labels=["a", "b"])},
 }
 
 
-def write_small_system(path):
+def write_small_system(path, **changes):
     """An untrained two-concept NN system on 3 stacked frames."""
-    systems.save_system(systems.System(
+    systems.save_system(dataclasses.replace(systems.System(
         labels=["a", "b"], mfcc_norm=NormStats(np.zeros(14), np.ones(14)),
         width=3, input_norm=NormStats(np.zeros(42), np.ones(42)),
-        model=mlp.init_random([42, 4, 2], np.random.default_rng(0))), path)
+        model=mlp.init_random([42, 4, 2], np.random.default_rng(0))), **changes), path)
 
 
 @pytest.mark.parametrize("case", list(CORRUPTIONS))
@@ -274,6 +356,8 @@ def test_corrupt_system_file_exits_3_before_corpus(case, tmp_path, capsys):
     systems.load_system(path)
     if CORRUPTIONS[case] is None:
         path.unlink()
+    elif isinstance(CORRUPTIONS[case], dict):
+        write_small_system(path, **CORRUPTIONS[case])
     else:
         blob = path.read_bytes()
         arrays_at = 12 + int.from_bytes(blob[8:12], "little")

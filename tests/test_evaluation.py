@@ -7,15 +7,14 @@ from hdnn_audio.errors import EmptyInput, LengthMismatch
 from hdnn_audio.evaluation import (EvalReport, architecture_grid,
                                    context_sweep, evaluate, format_report,
                                    frame_accuracy, write_report_csv)
-from hdnn_audio.features import FeatureKind, FeatureSequence
+from hdnn_audio.features import FeatureSequence
 
 
 def make_test_set(rng, labels=("x", "y"), clips_per=2, t=10, d=3):
     out = []
     for c in range(len(labels)):
         for _ in range(clips_per):
-            seq = FeatureSequence(frames=rng.standard_normal((t, d)),
-                                  feature_kind=FeatureKind.MFCC14)
+            seq = FeatureSequence(frames=rng.standard_normal((t, d)))
             out.append((seq, c))
     return out
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hdnn_audio import features
 from hdnn_audio.errors import ClipTooShort, DimensionMismatch, EmptyInput
-from hdnn_audio.features import (AudioClip, FeatureKind, FeatureSequence,
+from hdnn_audio.features import (AudioClip, FeatureSequence,
                                  append_deltas, apply_norm, compute_mfcc,
                                  fit_norm_stats, frame_signal,
                                  invert_temporal_dct, load_wav, mel_filterbank,
@@ -82,7 +82,6 @@ class TestMfcc:
     def test_vector_layout(self, tone_clip):
         seq = mfcc_sequence(tone_clip)
         assert seq.dim == 14
-        assert seq.feature_kind is FeatureKind.MFCC14
         assert seq.num_frames == expected_frames(16000)
 
     def test_energy_term_is_log_raw_energy(self):
@@ -136,19 +135,16 @@ class TestDeltas:
     def test_dim_and_kind(self, small_seq):
         out = append_deltas(small_seq)
         assert out.dim == 42
-        assert out.feature_kind is FeatureKind.MFCC_DELTA42
 
     def test_constant_sequence_has_zero_deltas(self):
-        seq = FeatureSequence(frames=np.ones((10, 14)) * 3.0,
-                              feature_kind=FeatureKind.MFCC14)
+        seq = FeatureSequence(frames=np.ones((10, 14)) * 3.0)
         out = append_deltas(seq)
         np.testing.assert_allclose(out.frames[:, 14:], 0.0)
 
 
 class TestNormalization:
     def test_fit_apply_round_trip(self, rng):
-        seqs = [FeatureSequence(frames=rng.normal(5.0, 3.0, size=(50, 4)),
-                                feature_kind=FeatureKind.MFCC14)
+        seqs = [FeatureSequence(frames=rng.normal(5.0, 3.0, size=(50, 4)))
                 for _ in range(3)]
         stats = fit_norm_stats(seqs)
         pooled = np.vstack([apply_norm(s, stats).frames for s in seqs])
@@ -156,8 +152,7 @@ class TestNormalization:
         np.testing.assert_allclose(pooled.std(axis=0), 1.0, atol=1e-10)
 
     def test_constant_dim_uses_std_floor(self):
-        seq = FeatureSequence(frames=np.full((10, 2), 7.0),
-                              feature_kind=FeatureKind.MFCC14)
+        seq = FeatureSequence(frames=np.full((10, 2), 7.0))
         stats = fit_norm_stats([seq])
         assert np.all(stats.std == features.STD_FLOOR)
         out = apply_norm(seq, stats)
@@ -168,8 +163,7 @@ class TestNormalization:
             fit_norm_stats([])
 
     def test_dim_mismatch_raises(self, small_seq, rng):
-        other = FeatureSequence(frames=rng.standard_normal((5, 3)),
-                                feature_kind=FeatureKind.MFCC14)
+        other = FeatureSequence(frames=rng.standard_normal((5, 3)))
         stats = fit_norm_stats([other])
         with pytest.raises(DimensionMismatch):
             apply_norm(small_seq, stats)
@@ -178,7 +172,7 @@ class TestNormalization:
 class TestStacking:
     def test_hand_enumerated_width3(self):
         frames = np.arange(8, dtype=np.float64).reshape(4, 2)
-        seq = FeatureSequence(frames=frames, feature_kind=FeatureKind.MFCC14)
+        seq = FeatureSequence(frames=frames)
         out = stack_context(seq, 3)
         assert out.frames.shape == (4, 6)
         # frame 0 clamps its left neighbor to itself
@@ -199,8 +193,7 @@ class TestStacking:
     @settings(max_examples=25, deadline=None)
     def test_center_slice_is_original(self, width, t):
         rng = np.random.default_rng(t)
-        seq = FeatureSequence(frames=rng.standard_normal((t, 3)),
-                              feature_kind=FeatureKind.MFCC14)
+        seq = FeatureSequence(frames=rng.standard_normal((t, 3)))
         out = stack_context(seq, width)
         assert out.num_frames == t
         half = (width - 1) // 2
@@ -210,8 +203,7 @@ class TestStacking:
 
 class TestTemporalDct:
     def make_stacked(self, rng, t=6, width=5, bands=3):
-        seq = FeatureSequence(frames=rng.standard_normal((t, bands)),
-                              feature_kind=FeatureKind.MFCC14)
+        seq = FeatureSequence(frames=rng.standard_normal((t, bands)))
         return stack_context(seq, width)
 
     def test_full_round_trip(self, rng):
@@ -224,7 +216,7 @@ class TestTemporalDct:
     def test_constant_trajectory_single_coefficient(self):
         frames = np.tile([2.0, -1.0], (7, 1))
         stacked = stack_context(
-            FeatureSequence(frames=frames, feature_kind=FeatureKind.MFCC14), 5)
+            FeatureSequence(frames=frames), 5)
         reduced = temporal_dct_reduce(stacked, 5, 5)
         coeffs = reduced.frames.reshape(7, 2, 5)
         np.testing.assert_allclose(coeffs[:, :, 1:], 0.0, atol=1e-12)
@@ -240,8 +232,7 @@ class TestTemporalDct:
         np.testing.assert_allclose(reduced.frames[0, :2], expected)
 
     def test_canonical_dimensions(self, rng):
-        seq = FeatureSequence(frames=rng.standard_normal((3, 14)),
-                              feature_kind=FeatureKind.MFCC14)
+        seq = FeatureSequence(frames=rng.standard_normal((3, 14)))
         reduced = temporal_dct_reduce(stack_context(seq, 49), 49, 33)
         assert reduced.dim == 462
 

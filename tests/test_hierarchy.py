@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from hdnn_audio import hierarchy, mlp
 from hdnn_audio.errors import DimensionMismatch
-from hdnn_audio.features import FeatureKind, FeatureSequence
+from hdnn_audio.features import FeatureSequence
 from hdnn_audio.hierarchy import (CascadeModel, SparseContextConfig, classify,
                                   posteriorgram, second_stage_inputs,
-                                  sparse_stack, train_cascade)
+                                  sparse_stack)
 
 
 def make_cascade(rng, num_classes=3, in_dim=5):
@@ -66,17 +66,14 @@ class TestCascadeModel:
 
     def test_posteriorgram_shape_and_kind(self, rng):
         cascade = make_cascade(rng)
-        seq = FeatureSequence(frames=rng.standard_normal((12, 5)),
-                              feature_kind=FeatureKind.DCT_REDUCED)
+        seq = FeatureSequence(frames=rng.standard_normal((12, 5)))
         post = posteriorgram(cascade.first_stage, seq)
-        assert post.feature_kind is FeatureKind.POSTERIOR
         assert post.frames.shape == (12, 3)
         np.testing.assert_allclose(post.frames.sum(axis=1), 1.0)
 
     def test_classify_equals_composed_stages(self, rng):
         cascade = make_cascade(rng)
-        seq = FeatureSequence(frames=rng.standard_normal((15, 5)),
-                              feature_kind=FeatureKind.DCT_REDUCED)
+        seq = FeatureSequence(frames=rng.standard_normal((15, 5)))
         pred = classify(cascade, seq)
         # oracle: compose the pieces explicitly
         post = posteriorgram(cascade.first_stage, seq).frames
@@ -85,48 +82,4 @@ class TestCascadeModel:
         np.testing.assert_array_equal(pred, post2.argmax(axis=1))
         np.testing.assert_array_equal(
             x2, second_stage_inputs(cascade.first_stage, cascade.sparse, seq))
-
-
-class TestTrainCascade:
-    def separable_clips(self, rng, num_classes=2, clips_per_class=4, t=30, d=4):
-        clips = []
-        for c in range(num_classes):
-            for _ in range(clips_per_class):
-                frames = rng.standard_normal((t, d)) + 3.0 * c
-                clips.append((FeatureSequence(frames=frames,
-                                              feature_kind=FeatureKind.DCT_REDUCED), c))
-        return clips
-
-    def schedule(self):
-        return mlp.TrainSchedule(initial_lr=0.5, minibatch_frames=32,
-                                 max_epochs=5, rng_seed=0)
-
-    def test_learns_separable_clips(self, rng):
-        clips = self.separable_clips(rng)
-        cascade = train_cascade(clips, num_classes=2, stage1_hidden=[8],
-                                stage2_hidden=[6],
-                                schedule_first=self.schedule(),
-                                schedule_second=self.schedule(),
-                                sparse=SparseContextConfig(offsets=(-2, 0, 2)))
-        correct = total = 0
-        for seq, label in clips:
-            pred = classify(cascade, seq)
-            correct += int(np.sum(pred == label))
-            total += len(pred)
-        assert correct / total > 0.9
-
-    def test_deterministic(self, rng):
-        clips = self.separable_clips(rng)
-        outs = []
-        for _ in range(2):
-            cascade = train_cascade(clips, num_classes=2, stage1_hidden=[8],
-                                    stage2_hidden=[6],
-                                    schedule_first=self.schedule(),
-                                    schedule_second=self.schedule(),
-                                    sparse=SparseContextConfig(offsets=(-1, 0, 1)))
-            outs.append([array.tobytes() for net in (cascade.first_stage,
-                                                     cascade.second_stage)
-                         for layer in net.layers
-                         for array in (layer.weights, layer.bias)])
-        assert outs[0] == outs[1]
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from hdnn_audio import mlp
 from hdnn_audio.errors import (DimensionMismatch, LabelOutOfRange,
                                NonFiniteGradient)
-from hdnn_audio.mlp import (Activation, Layer, MlpModel, NewbobSchedule,
+from hdnn_audio.mlp import (Layer, MlpModel, NewbobSchedule,
                             TrainSchedule, backprop_step, cross_entropy,
                             forward, gradients, init_random, predict_frames,
                             sigmoid, train)
@@ -34,8 +34,7 @@ class TestForward:
     def test_single_layer_closed_form(self):
         # identity-ish weights: softmax(Wx + b) computed by hand
         w = np.array([[1.0, 0.0], [0.0, 1.0]])
-        model = MlpModel([Layer(weights=w, bias=np.zeros(2),
-                                activation=Activation.SOFTMAX)])
+        model = MlpModel([Layer(weights=w, bias=np.zeros(2))])
         _, post = forward(model, np.array([[np.log(3.0), 0.0]]))
         np.testing.assert_allclose(post[0], [0.75, 0.25], rtol=1e-12)
 
@@ -46,8 +45,7 @@ class TestForward:
 
     def test_extreme_logits_are_stable(self):
         w = np.array([[1000.0], [-1000.0]])
-        model = MlpModel([Layer(weights=w, bias=np.zeros(2),
-                                activation=Activation.SOFTMAX)])
+        model = MlpModel([Layer(weights=w, bias=np.zeros(2))])
         _, post = forward(model, np.array([[1.0]]))
         assert np.all(np.isfinite(post))
         np.testing.assert_allclose(post[0], [1.0, 0.0], atol=1e-12)
@@ -55,19 +53,8 @@ class TestForward:
 
 class TestModelValidation:
     def test_layers_must_chain(self, rng):
-        layers = [Layer(rng.standard_normal((5, 4)), np.zeros(5), Activation.SIGMOID),
-                  Layer(rng.standard_normal((3, 6)), np.zeros(3), Activation.SOFTMAX)]
-        with pytest.raises(DimensionMismatch):
-            MlpModel(layers)
-
-    def test_final_layer_must_be_softmax(self, rng):
-        layers = [Layer(rng.standard_normal((3, 4)), np.zeros(3), Activation.SIGMOID)]
-        with pytest.raises(DimensionMismatch):
-            MlpModel(layers)
-
-    def test_softmax_only_final(self, rng):
-        layers = [Layer(rng.standard_normal((5, 4)), np.zeros(5), Activation.SOFTMAX),
-                  Layer(rng.standard_normal((3, 5)), np.zeros(3), Activation.SOFTMAX)]
+        layers = [Layer(rng.standard_normal((5, 4)), np.zeros(5)),
+                  Layer(rng.standard_normal((3, 6)), np.zeros(3))]
         with pytest.raises(DimensionMismatch):
             MlpModel(layers)
 
@@ -355,8 +342,7 @@ class TestPredict:
 
     def test_tie_breaks_low_index(self):
         w = np.zeros((3, 2))
-        model = MlpModel([Layer(weights=w, bias=np.zeros(3),
-                                activation=Activation.SOFTMAX)])
+        model = MlpModel([Layer(weights=w, bias=np.zeros(3))])
         assert predict_frames(model, np.array([[1.0, 2.0]]))[0] == 0
 
 
@@ -366,10 +352,7 @@ class TestInit:
     def test_glorot_range_and_structure(self, dims):
         model = init_random(dims, np.random.default_rng(0))
         assert len(model.layers) == len(dims) - 1
-        for i, layer in enumerate(model.layers):
+        for layer in model.layers:
             r = np.sqrt(6.0 / (layer.in_dim + layer.out_dim))
             assert np.all(np.abs(layer.weights) <= r)
             np.testing.assert_array_equal(layer.bias, 0.0)
-            expected = (Activation.SOFTMAX if i == len(model.layers) - 1
-                        else Activation.SIGMOID)
-            assert layer.activation is expected

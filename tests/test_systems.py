@@ -1,10 +1,14 @@
 import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hdnn_audio import hierarchy, mlp, systems
-from hdnn_audio.features import ContextConfig, NormStats
+from hdnn_audio.features import (ContextConfig, FeatureSequence, NormStats,
+                                 apply_norm, mfcc_sequence)
 
 
 def schedule(seed):
@@ -55,6 +59,7 @@ def test_prepare_corpus_applies_a_given_norm(tiny_segments, tiny_corpus_dir,
     again = systems.prepare_corpus(tiny_segments, tiny_corpus_dir, seed=7,
                                    norm=norm)
     assert again.norm is norm
+    assert again.train == []
     for (fitted, _), (given, _) in zip(corpus.test, again.test, strict=True):
         np.testing.assert_allclose(given.frames,
                                    (fitted.frames - 1.0 / corpus.norm.std) / 2.0)
@@ -84,9 +89,6 @@ class TestSystemFile:
                 assert np.array_equal(stats.std, ref.std)
         if isinstance(system.model, hierarchy.CascadeModel):
             assert loaded.model.sparse.offsets == system.model.sparse.offsets
-        if isinstance(system.model, mlp.MlpModel):
-            assert ([layer.activation for layer in loaded.model.layers]
-                    == [layer.activation for layer in system.model.layers])
 
         systems.save_system(loaded, tmp_path / "b.acsy")
         assert (tmp_path / "b.acsy").read_bytes() == (tmp_path / "a.acsy").read_bytes()
@@ -116,3 +118,91 @@ class TestBenchmarkContract:
             assert np.issubdtype(labels.dtype, np.integer)
             assert labels.min() >= 0 and labels.max() < len(corpus.labels)
             assert np.array_equal(labels, result[0].classify(seq))
+
+
+class TestTrainCascade:
+    def separable_clips(self, rng, num_classes=2, clips_per_class=4, t=30, d=4):
+        clips = []
+        for c in range(num_classes):
+            for _ in range(clips_per_class):
+                frames = rng.standard_normal((t, d)) + 3.0 * c
+                clips.append((FeatureSequence(frames), c))
+        return clips
+
+    def train(self, clips, offsets):
+        """The cascade alone: a width-1 front-end without DCT passes the
+        clips' frames through to the input normalization."""
+        d = clips[0][0].dim
+        corpus = systems.PreparedCorpus(
+            labels=["a", "b"], train=clips, test=[],
+            norm=NormStats(np.zeros(d), np.ones(d)))
+        system, _ = systems.train_hdnn_system(
+            corpus, ContextConfig(width=1, dct_enabled=False),
+            stage1_hidden=[8], stage2_hidden=[6],
+            schedule_first=self.schedule(), schedule_second=self.schedule(),
+            sparse=hierarchy.SparseContextConfig(offsets=offsets))
+        return system
+
+    def schedule(self):
+        return mlp.TrainSchedule(initial_lr=0.5, minibatch_frames=32,
+                                 max_epochs=5, rng_seed=0)
+
+    def test_learns_separable_clips(self, rng):
+        clips = self.separable_clips(rng)
+        system = self.train(clips, (-2, 0, 2))
+        correct = total = 0
+        for seq, label in clips:
+            pred = system.classify(seq)
+            correct += int(np.sum(pred == label))
+            total += len(pred)
+        assert correct / total > 0.9
+
+    def test_deterministic(self, rng):
+        clips = self.separable_clips(rng)
+        outs = []
+        for _ in range(2):
+            cascade = self.train(clips, (-1, 0, 1)).model
+            outs.append([array.tobytes() for net in (cascade.first_stage,
+                                                     cascade.second_stage)
+                         for layer in net.layers
+                         for array in (layer.weights, layer.bias)])
+        assert outs[0] == outs[1]
+
+
+def load_tracing(monkeypatch):
+    """perfbench/tracing.py, imported from its file for this test only."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while the file executes
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTracedNames:
+    """The benchmark's per-layer trace wraps package functions by module
+    attribute and reads the frame shift off feature sequences."""
+
+    def test_tracer_finds_every_name_and_restores_it(self, monkeypatch):
+        tracing = load_tracing(monkeypatch)
+        modules = {name: importlib.import_module(f"hdnn_audio.{name}")
+                   for name, *_ in tracing.WRAPS}
+        before = {(name, attr): getattr(modules[name], attr)
+                  for name, attr, *_ in tracing.WRAPS}
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            assert tracer.missing == set()
+            assert all(getattr(modules[name], attr) is not fn
+                       for (name, attr), fn in before.items())
+        finally:
+            tracer.uninstall()
+        assert all(getattr(modules[name], attr) is fn
+                   for (name, attr), fn in before.items())
+
+    def test_frame_shift_survives_normalization(self, tone_clip):
+        seq = mfcc_sequence(tone_clip)
+        assert seq.frame_shift_ms == 10.0
+        norm = NormStats(np.zeros(seq.dim), np.ones(seq.dim))
+        assert apply_norm(seq, norm).frame_shift_ms == 10.0
