@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -183,6 +184,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _detach_stdout() -> None:
+    """Point file descriptor 1 at os.devnull, so the flush at interpreter
+    exit finds no broken pipe to report."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, sys.stdout.fileno())
+    except (AttributeError, OSError, ValueError):
+        pass  # a stdout without a file descriptor has nothing to flush at exit
+    finally:
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     overrides = list(args.overrides)
@@ -210,6 +223,12 @@ def main(argv=None) -> int:
             cmd_sweep_context(cfg, out_dir, args.widths)
         elif args.command == "grid-arch":
             cmd_grid_arch(cfg, out_dir, args.depths, args.neurons, args.pretrain)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # every print comes after the run's files are written, so a closed
+        # stdout (``train-gmm | head -1``) loses nothing
+        _detach_stdout()
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -1,19 +1,20 @@
 """GMM-UBM baseline: diagonal-covariance EM, k-means++ initialized UBM,
 per-concept adaptation by EM re-estimation, and log-likelihood-ratio
-frame scoring."""
+frame scoring with one log-sum-exp over the stacked UBM and concept
+component densities."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DataTooSmall, DimensionMismatch, EmptyInput
 
 RESP_MASS_FLOOR = 1e-8
 VAR_FLOOR_FRACTION = 1e-3
 DEFAULT_LL_GAIN_STOP = 1e-4  # per-frame log-likelihood gain
+SCORE_ROW_BLOCK = 1024  # frames scored at once against the stacked bank
 
 
 @dataclass
@@ -55,9 +56,34 @@ def _component_log_densities(gmm: DiagGmm, data: np.ndarray) -> np.ndarray:
     return np.log(gmm.weights) + const - 0.5 * quad
 
 
+def logsumexp(a: np.ndarray) -> np.ndarray:
+    """ln sum(exp(a)) over the last axis, with the arithmetic of
+    ``scipy.special.logsumexp(a, axis=-1)`` and bitwise equal to it.
+
+    The maxima are counted and taken out of the sum, so the result is
+    log1p(s / m) + ln m + max with s the sum of the other terms. Rows
+    where that is not finite (all -inf, +inf or NaN entries) take the
+    direct ln sum(exp(a)) instead.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max(axis=-1, keepdims=True)
+        is_max = a == a_max
+        m = is_max.sum(axis=-1, keepdims=True, dtype=np.float64)
+        e = np.where(is_max, -np.inf, a)
+        np.subtract(e, a_max, out=e)
+        s = np.exp(e, out=e).sum(axis=-1, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = (np.log1p(s) + np.log(m) + a_max)[..., 0]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.exp(a[bad]).sum(axis=-1))
+    return out
+
+
 def log_likelihoods(gmm: DiagGmm, data: np.ndarray) -> np.ndarray:
     """Per-frame ln p(x) via log-sum-exp over components."""
-    return logsumexp(_component_log_densities(gmm, data), axis=1)
+    return logsumexp(_component_log_densities(gmm, data))
 
 
 def _global_var_floor(data: np.ndarray) -> np.ndarray:
@@ -86,7 +112,7 @@ def em_train(init: DiagGmm, data: np.ndarray, iterations: int,
     ll_history: list[float] = []
     for _ in range(iterations):
         comp_ll = _component_log_densities(gmm, data)
-        total = logsumexp(comp_ll, axis=1)
+        total = logsumexp(comp_ll)
         ll_history.append(float(total.sum()))
         resp = np.exp(comp_ll - total[:, None])  # N x K
         nk = resp.sum(axis=0)
@@ -187,7 +213,7 @@ def _adapt_means_only(ubm: DiagGmm, data: np.ndarray, iterations: int) -> DiagGm
     model = ubm.copy()
     for _ in range(iterations):
         comp_ll = _component_log_densities(model, data)
-        resp = np.exp(comp_ll - logsumexp(comp_ll, axis=1)[:, None])
+        resp = np.exp(comp_ll - logsumexp(comp_ll)[:, None])
         nk = resp.sum(axis=0)
         updated = nk > RESP_MASS_FLOOR
         means = (resp.T @ data) / np.maximum(nk, RESP_MASS_FLOOR)[:, None]
@@ -195,11 +221,29 @@ def _adapt_means_only(ubm: DiagGmm, data: np.ndarray, iterations: int) -> DiagGm
     return model
 
 
+def log_likelihood_ratios(bank: GmmConceptBank, frames: np.ndarray) -> np.ndarray:
+    """N x C matrix of ln p(x | concept) - ln p(x | UBM), columns in label order.
+
+    The component log densities of the UBM and the C concept models are
+    stacked into one N x (C+1) x K array and reduced by one log-sum-exp,
+    SCORE_ROW_BLOCK frames at a time. Each model's densities come from
+    its own products: BLAS picks its kernel, and with it the rounding, by
+    the shape of a product, so one product over all (C+1)K components
+    would not be bitwise equal to scoring each model by itself.
+    """
+    frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
+    models = [bank.ubm] + [bank.concept_models[label] for label in bank.labels]
+    blocks = max(1, -(-frames.shape[0] // SCORE_ROW_BLOCK))
+    llrs = []
+    # near-equal blocks: a last block of a few rows would take another BLAS
+    # kernel than the whole input does, and round otherwise
+    for block in np.array_split(frames, blocks):
+        ll = logsumexp(np.stack([_component_log_densities(model, block)
+                                 for model in models], axis=1))
+        llrs.append(ll[:, 1:] - ll[:, :1])
+    return np.concatenate(llrs)
+
+
 def classify_frames(bank: GmmConceptBank, frames: np.ndarray) -> np.ndarray:
     """Per-frame argmax of the concept LLRs (lowest-index tie-break)."""
-    frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
-    ubm_ll = log_likelihoods(bank.ubm, frames)
-    scores = np.stack([log_likelihoods(bank.concept_models[label], frames) - ubm_ll
-                       for label in bank.labels], axis=1)
-    return scores.argmax(axis=1)
-
+    return log_likelihood_ratios(bank, frames).argmax(axis=1)

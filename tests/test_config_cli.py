@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -254,11 +256,31 @@ class TestSystemFile:
             arg for item in TRAINED_SYSTEMS["train-gmm"] for arg in ("--set", item)]
         assert main(args + ["--out-dir", str(tmp_path / "a"), "train-gmm"]) == 0
         monkeypatch.setattr(sys, "stdout", ClosedPipe())
-        main(args + ["--out-dir", str(tmp_path / "b"), "train-gmm"])
+        rc = main(args + ["--out-dir", str(tmp_path / "b"), "train-gmm"])
         monkeypatch.undo()
+        assert rc == 0
         for name in ("report.csv", "report.txt"):
             assert ((tmp_path / "b" / name).read_bytes()
                     == (tmp_path / "a" / name).read_bytes())
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_closed_pipe_reader_exits_0(self, unbuffered, cli_corpus, tmp_path):
+        # a reader that closes at once, as `hdnn-audio train-gmm | true`;
+        # unbuffered, the print itself fails, buffered, the final flush does
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        args = ["--set", f"paths.corpus_dir={cli_corpus}"] + [
+            arg for item in TRAINED_SYSTEMS["train-gmm"] for arg in ("--set", item)]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hdnn_audio.cli", *args,
+             "--out-dir", str(tmp_path), "train-gmm"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=300)
+        assert proc.returncode == 0, stderr.decode()
+        assert stderr == b""
+        for name in ("system.acsy", "report.csv", "report.txt"):
+            assert (tmp_path / name).exists()
 
     def test_evaluate_normalizes_with_the_stored_mfcc_norm(self, cli_corpus,
                                                            tmp_path):

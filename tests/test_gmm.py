@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -8,7 +13,8 @@ from hdnn_audio import gmm
 from hdnn_audio.errors import DataTooSmall, DimensionMismatch, EmptyInput
 from hdnn_audio.gmm import (DiagGmm, GmmConceptBank, adapt_concept,
                             classify_frames, em_train, kmeans_pp_init,
-                            log_likelihoods, train_ubm, ubm_global_variance)
+                            log_likelihood_ratios, log_likelihoods, train_ubm,
+                            ubm_global_variance)
 
 
 def random_gmm(rng, k=3, d=4):
@@ -22,6 +28,107 @@ def two_cluster_data(rng, n=400, d=3):
     a = rng.normal(-3.0, 1.0, size=(n // 2, d))
     b = rng.normal(3.0, 1.0, size=(n // 2, d))
     return np.vstack([a, b])
+
+
+def assert_bitwise_equal(actual, expected):
+    actual = np.asarray(actual, dtype=np.float64)
+    expected = np.asarray(expected, dtype=np.float64)
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+def special_rows(rng, k=16):
+    """One row per case the log-sum-exp must match scipy on."""
+    rows = rng.standard_normal((9, k)) * 40.0
+    rows[1, [2, 7, 11]] = rows[1].max() + 3.0           # tied maxima
+    rows[2, [0, 5, 9]] = -np.inf                         # scattered -inf
+    rows[3] = -np.inf                                    # all -inf: -inf, not NaN
+    rows[4, 6] = np.inf                                  # +inf
+    rows[5, 3] = np.nan                                  # NaN
+    rows[6, [1, 4]] = -np.inf                            # -inf and tied maxima
+    rows[6, [8, 12]] = rows[6].max() + 1.0
+    rows[7] = rows[7] * 30.0 + 800.0                     # exp(a) overflows
+    rows[8] = 5.0                                        # all tied
+    return rows
+
+
+class TestLogsumexp:
+    @pytest.mark.parametrize("row", range(9))
+    def test_1d_matches_scipy(self, row, rng):
+        a = special_rows(rng)[row]
+        assert_bitwise_equal(gmm.logsumexp(a), logsumexp(a, axis=-1))
+
+    def test_2d_matches_scipy(self, rng):
+        a = np.vstack([special_rows(rng), rng.standard_normal((40, 16)) * 20.0])
+        assert_bitwise_equal(gmm.logsumexp(a), logsumexp(a, axis=-1))
+
+    def test_3d_matches_scipy(self, rng):
+        rows = special_rows(rng, k=64)
+        a = np.stack([rows, rows[::-1], rng.standard_normal(rows.shape) * 60.0])
+        assert_bitwise_equal(gmm.logsumexp(a), logsumexp(a, axis=-1))
+
+    def test_edge_values(self, rng):
+        out = gmm.logsumexp(special_rows(rng))
+        assert out[3] == -np.inf
+        assert out[4] == np.inf
+        assert np.isnan(out[5])
+        assert out[8] == 5.0 + np.log(16.0)
+
+
+def random_bank(rng, d, k=64, num_concepts=8):
+    """A UBM and concepts perturbed from it, as adaptation leaves them."""
+    ubm = random_gmm(rng, k=k, d=d)
+    concepts = {}
+    for c in range(num_concepts):
+        w = ubm.weights * (rng.random(k) + 0.5)
+        concepts[f"c{c}"] = DiagGmm(
+            weights=w / w.sum(),
+            means=ubm.means + 0.3 * rng.standard_normal((k, d)),
+            variances=ubm.variances * (rng.random((k, d)) + 0.5))
+    return GmmConceptBank(ubm=ubm, concept_models=concepts,
+                          labels=list(concepts))
+
+
+def per_concept_llrs(bank, frames):
+    """The scorer before stacking: one scipy log-sum-exp per model."""
+    ubm_ll = logsumexp(gmm._component_log_densities(bank.ubm, frames), axis=1)
+    return np.stack([
+        logsumexp(gmm._component_log_densities(bank.concept_models[l], frames),
+                  axis=1) - ubm_ll
+        for l in bank.labels], axis=1)
+
+
+def check_stacked_scoring_matches_per_concept_loop():
+    """D of the three GMM front-ends; one model's product over 17 rows
+    takes OpenBLAS's small-matrix kernel, and SCORE_ROW_BLOCK + 1 rows
+    are scored in two blocks."""
+    rng = np.random.default_rng(5)
+    for d in (42, 70, 294):
+        bank = random_bank(rng, d)
+        for n in (1, 17, 160, gmm.SCORE_ROW_BLOCK + 1):
+            frames = rng.standard_normal((n, d)) * 2.0
+            expected = per_concept_llrs(bank, frames)
+            assert_bitwise_equal(log_likelihood_ratios(bank, frames), expected)
+            np.testing.assert_array_equal(classify_frames(bank, frames),
+                                          expected.argmax(axis=1))
+
+
+class TestStackedScoring:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_matches_per_concept_loop_at_blas_threads(self, threads):
+        here = Path(__file__).resolve().parent
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([str(here), str(Path(gmm.__file__)
+                                                             .resolve().parents[1])]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import test_gmm; "
+             "test_gmm.check_stacked_scoring_matches_per_concept_loop()"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_dim_mismatch(self, rng):
+        with pytest.raises(DimensionMismatch):
+            classify_frames(random_bank(rng, d=4, k=3), np.zeros((5, 3)))
 
 
 class TestLogLikelihoods:
