@@ -1,13 +1,15 @@
 """Command-line entry point.
 
-Subcommands: synth-data, train-gmm, train-nn, train-hdnn, evaluate,
-sweep-context, grid-arch. Every run writes its resolved config snapshot
-and fingerprint into the output directory.
+Subcommands: synth-data, train-gmm, train-nn, train-hdnn, compare,
+evaluate, sweep-context, grid-arch. Every run writes its resolved config
+snapshot and fingerprint into the output directory; compare also writes
+one per system, into the system's own directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -23,6 +25,22 @@ EXIT_CONFIG_ERROR = 2
 EXIT_DATA_ERROR = 3
 EXIT_TRAINING_DIVERGED = 4
 SYSTEM_FILE = "system.acsy"
+TRAIN_COMMANDS = ("train-gmm", "train-nn", "train-hdnn")
+
+# the paper's system set: name, the train-* command that trains it, and
+# settings applied over the run's config (they win over its overrides)
+COMPARE_SYSTEMS = [
+    ("gmm-delta42", "train-gmm", ["gmm.feature_mode=delta42"]),
+    ("gmm-stack5", "train-gmm", ["gmm.feature_mode=stacked", "gmm.stacked_width=5"]),
+    ("gmm-stack21", "train-gmm", ["gmm.feature_mode=stacked", "gmm.stacked_width=21"]),
+    ("nn-x9", "train-nn", ["nn.hidden_dims=[1000]", "context.width=9",
+                           "context.dct_enabled=false", "pretrain=null"]),
+    ("dnn", "train-nn", []),
+    ("hdnn", "train-hdnn", []),
+]
+# the H-DNN's relative frame-error reduction (%) over each baseline, as
+# the paper reports it
+PAPER_REDUCTIONS = {"best GMM": 54.0, "nn-x9": 33.0, "dnn": 12.0}
 
 
 def _prepare(cfg: RunConfig, norm: NormStats | None = None) -> systems.PreparedCorpus:
@@ -32,22 +50,40 @@ def _prepare(cfg: RunConfig, norm: NormStats | None = None) -> systems.PreparedC
                                   train_fraction=cfg.train_fraction, norm=norm)
 
 
-def _report(out_dir: Path, system: systems.System,
-            corpus: systems.PreparedCorpus) -> None:
+def _write_report(out_dir: Path, system: systems.System,
+                  corpus: systems.PreparedCorpus) -> evaluation.EvalReport:
     report = evaluation.evaluate(system.classify, corpus.test, corpus.labels,
                                  config_fingerprint=system.config_fingerprint)
-    # the files first: a closed stdout must not cost the run its report
-    text = evaluation.format_report(report)
     evaluation.write_report_csv(report, out_dir / "report.csv")
-    (out_dir / "report.txt").write_text(text + "\n")
-    print(text)
+    (out_dir / "report.txt").write_text(evaluation.format_report(report) + "\n")
+    return report
 
 
-def _save_and_report(cfg: RunConfig, out_dir: Path, system: systems.System,
-                     corpus: systems.PreparedCorpus) -> None:
+def _train(command: str, cfg: RunConfig, corpus: systems.PreparedCorpus,
+           out_dir: Path) -> evaluation.EvalReport:
+    """Train the system a ``train-*`` command names and write its system
+    file, history (networks) and report files to ``out_dir``. Prints
+    nothing: a closed stdout must not cost a run its files."""
+    if command == "train-gmm":
+        system, _ = systems.train_gmm_system(
+            corpus, num_components=cfg.gmm.num_components,
+            iterations=cfg.gmm.iterations, seed=cfg.seed,
+            feature_mode=cfg.gmm.feature_mode, width=cfg.gmm.stacked_width)
+    elif command == "train-nn":
+        system, _, history = systems.train_nn_system(
+            corpus, hidden_dims=cfg.nn.hidden_dims, width=cfg.context.width,
+            schedule=cfg.nn.schedule, dct_keep=cfg.context.dct_keep,
+            pretrain=cfg.pretrain)
+        mlp.write_history_csv(history, out_dir / "history.csv")
+    else:
+        system, _ = systems.train_hdnn_system(
+            corpus, cfg.context,
+            stage1_hidden=cfg.nn.hidden_dims, stage2_hidden=cfg.stage2.hidden_dims,
+            schedule_first=cfg.nn.schedule, schedule_second=cfg.stage2.schedule,
+            pretrain=cfg.pretrain, sparse=cfg.sparse)
     system.config_fingerprint = fingerprint(cfg)
     systems.save_system(system, out_dir / SYSTEM_FILE)
-    _report(out_dir, system, corpus)
+    return _write_report(out_dir, system, corpus)
 
 
 def cmd_synth_data(cfg: RunConfig, out_dir: Path) -> None:
@@ -55,33 +91,39 @@ def cmd_synth_data(cfg: RunConfig, out_dir: Path) -> None:
     print(f"wrote {len(segments)} clips to {cfg.paths.corpus_dir}")
 
 
-def cmd_train_gmm(cfg: RunConfig, out_dir: Path) -> None:
+def cmd_compare(cfg: RunConfig, out_dir: Path) -> None:
+    """Train every system of COMPARE_SYSTEMS on one prepared corpus, each
+    into ``out_dir/<name>`` with its own config snapshot, then write and
+    print the comparison table."""
+    # each system's config is the run's snapshot under its fixed settings,
+    # all validated before the corpus is read
+    configs = {name: load_config(out_dir / "config.yaml", settings + [
+                   f"paths.out_dir={json.dumps(str(out_dir / name))}"])
+               for name, _, settings in COMPARE_SYSTEMS}
     corpus = _prepare(cfg)
-    system, _ = systems.train_gmm_system(
-        corpus, num_components=cfg.gmm.num_components,
-        iterations=cfg.gmm.iterations, seed=cfg.seed,
-        feature_mode=cfg.gmm.feature_mode, width=cfg.gmm.stacked_width)
-    _save_and_report(cfg, out_dir, system, corpus)
-
-
-def cmd_train_nn(cfg: RunConfig, out_dir: Path) -> None:
-    corpus = _prepare(cfg)
-    system, _, history = systems.train_nn_system(
-        corpus, hidden_dims=cfg.nn.hidden_dims, width=cfg.context.width,
-        schedule=cfg.nn.schedule, dct_keep=cfg.context.dct_keep,
-        pretrain=cfg.pretrain)
-    mlp.write_history_csv(history, out_dir / "history.csv")
-    _save_and_report(cfg, out_dir, system, corpus)
-
-
-def cmd_train_hdnn(cfg: RunConfig, out_dir: Path) -> None:
-    corpus = _prepare(cfg)
-    system, _ = systems.train_hdnn_system(
-        corpus, cfg.context,
-        stage1_hidden=cfg.nn.hidden_dims, stage2_hidden=cfg.stage2.hidden_dims,
-        schedule_first=cfg.nn.schedule, schedule_second=cfg.stage2.schedule,
-        pretrain=cfg.pretrain, sparse=cfg.sparse)
-    _save_and_report(cfg, out_dir, system, corpus)
+    fa = {}
+    for name, command, _ in COMPARE_SYSTEMS:
+        write_snapshot(configs[name], out_dir / name)
+        fa[name] = _train(command, configs[name], corpus, out_dir / name).overall_fa
+    best_gmm = max((name for name in fa if name.startswith("gmm-")), key=fa.get)
+    rows = [["frame_accuracy", name, value, ""] for name, value in fa.items()]
+    lines = [f"{'system':<12} {'F.A.%':>6}"] + [f"{name:<12} {value:6.2f}"
+                                                 for name, value in fa.items()]
+    lines.append(f"{'H-DNN relative frame-error reduction':<38} {'this run':>8}  paper")
+    for baseline, paper in PAPER_REDUCTIONS.items():
+        base = best_gmm if baseline == "best GMM" else baseline
+        reduction = evaluation.relative_error_reduction(fa[base], fa["hdnn"])
+        rows.append(["hdnn_error_reduction", base, reduction, paper])
+        label = f"over {baseline}" + (f" ({base})" if base != baseline else "")
+        lines.append(f"{label:<38} {reduction:7.1f}%  {paper:4.0f}%")
+    gap = fa["gmm-stack21"] - fa["gmm-stack5"]
+    rows.append(["accuracy_gap", "gmm-stack21 - gmm-stack5", gap, ""])
+    lines.append(f"gmm-stack21 - gmm-stack5: {gap:+.2f} F.A. points")
+    text = "\n".join(lines)
+    evaluation.write_csv(out_dir / "compare.csv",
+                         ["measure", "system", "value", "paper"], rows)
+    (out_dir / "compare.txt").write_text(text + "\n")
+    print(text)
 
 
 def cmd_evaluate(cfg: RunConfig, out_dir: Path, model_path: str) -> None:
@@ -92,20 +134,22 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path, model_path: str) -> None:
     if corpus.labels != system.labels:
         raise DataError(f"{model_path}: trained on concepts {system.labels}, "
                         f"but the corpus has {corpus.labels}")
-    _report(out_dir, system, corpus)
+    print(evaluation.format_report(_write_report(out_dir, system, corpus)))
+
+
+def _test_fa(classifier, corpus: systems.PreparedCorpus) -> float:
+    return evaluation.evaluate(classifier, corpus.test, corpus.labels).overall_fa
 
 
 def cmd_sweep_context(cfg: RunConfig, out_dir: Path, widths: list[int]) -> None:
     corpus = _prepare(cfg)
-
-    def factory(width):
+    rows = []
+    for width in widths:
         _, classifier, _ = systems.train_nn_system(
             corpus, hidden_dims=cfg.nn.hidden_dims, width=width,
             schedule=cfg.nn.schedule, dct_keep=None, pretrain=None)
-        return classifier
-
-    rows = evaluation.context_sweep(widths, factory, corpus.test, corpus.labels,
-                                    csv_path=out_dir / "sweep.csv")
+        rows.append([width, _test_fa(classifier, corpus)])
+    evaluation.write_csv(out_dir / "sweep.csv", ["width", "frame_accuracy"], rows)
     for width, fa in rows:
         print(f"width {width:3d}: {fa:6.2f}%")
 
@@ -116,18 +160,19 @@ def cmd_grid_arch(cfg: RunConfig, out_dir: Path, depths: list[int],
         raise ConfigError("grid-arch --pretrain on needs a pretrain section, "
                           "but pretrain is null")
     corpus = _prepare(cfg)
-
-    def cell(depth, width, use_pretrain):
+    rows = []
+    for depth, width, use_pretrain in itertools.product(depths, neurons,
+                                                        pretrain_options):
         _, classifier, _ = systems.train_nn_system(
             corpus, hidden_dims=[width] * depth, width=cfg.context.width,
             schedule=cfg.nn.schedule, dct_keep=cfg.context.dct_keep,
             pretrain=cfg.pretrain if use_pretrain else None)
-        return evaluation.evaluate(classifier, corpus.test, corpus.labels).overall_fa
-
-    rows = evaluation.architecture_grid(depths, neurons, pretrain_options, cell,
-                                        csv_path=out_dir / "grid.csv")
+        rows.append([depth, width, "RBM" if use_pretrain else "RND",
+                     _test_fa(classifier, corpus)])
+    evaluation.write_csv(out_dir / "grid.csv",
+                         ["depth", "neurons", "pretrain", "frame_accuracy"], rows)
     for depth, width, pre, fa in rows:
-        print(f"{depth} x {width:5d} {'RBM' if pre else 'RND'}: {fa:6.2f}%")
+        print(f"{depth} x {width:5d} {pre}: {fa:6.2f}%")
 
 
 def _comma_list(item):
@@ -167,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out-dir", help="run directory (overrides paths.out_dir)")
     parser.add_argument("--seed", type=int, help="override the run seed")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("synth-data", "train-gmm", "train-nn", "train-hdnn"):
+    for name in ("synth-data",) + TRAIN_COMMANDS + ("compare",):
         sub.add_parser(name)
     p = sub.add_parser("evaluate")
     p.add_argument("--model", required=True, help=f"system file ({SYSTEM_FILE})")
@@ -211,12 +256,11 @@ def main(argv=None) -> int:
         write_snapshot(cfg, out_dir)
         if args.command == "synth-data":
             cmd_synth_data(cfg, out_dir)
-        elif args.command == "train-gmm":
-            cmd_train_gmm(cfg, out_dir)
-        elif args.command == "train-nn":
-            cmd_train_nn(cfg, out_dir)
-        elif args.command == "train-hdnn":
-            cmd_train_hdnn(cfg, out_dir)
+        elif args.command in TRAIN_COMMANDS:
+            report = _train(args.command, cfg, _prepare(cfg), out_dir)
+            print(evaluation.format_report(report))
+        elif args.command == "compare":
+            cmd_compare(cfg, out_dir)
         elif args.command == "evaluate":
             cmd_evaluate(cfg, out_dir, args.model)
         elif args.command == "sweep-context":

@@ -1,5 +1,4 @@
-"""Frame-accuracy metric, per-concept reports, and the sweep drivers
-(context-window sweep, architecture grid)."""
+"""Frame-accuracy metric, per-concept reports and CSV tables."""
 
 from __future__ import annotations
 
@@ -33,6 +32,15 @@ def frame_accuracy(predicted, truth) -> float:
     return float(100.0 * np.mean(predicted == truth))
 
 
+def relative_error_reduction(base_fa: float, fa: float) -> float:
+    """Frame-error reduction (%) of accuracy ``fa`` relative to accuracy
+    ``base_fa``, an error being 100 - F.A.; NaN when ``base_fa`` is 100."""
+    base_err = 100.0 - base_fa
+    if base_err == 0:
+        return float("nan")
+    return 100.0 * (base_err - (100.0 - fa)) / base_err
+
+
 def evaluate(system: Callable[[FeatureSequence], np.ndarray],
              test_set: list[tuple[FeatureSequence, int]],
              labels: list[str],
@@ -62,53 +70,6 @@ def evaluate(system: Callable[[FeatureSequence], np.ndarray],
                       config_fingerprint=config_fingerprint)
 
 
-def context_sweep(widths: list[int],
-                  system_factory: Callable[[int], Callable[[FeatureSequence], np.ndarray]],
-                  test_set: list[tuple[FeatureSequence, int]],
-                  labels: list[str],
-                  csv_path=None) -> list[tuple[int, float]]:
-    """Train/evaluate one system per context width.
-
-    ``system_factory(width)`` must return a trained per-frame classifier
-    closure for that width (sharing seeds across widths is the caller's
-    responsibility).
-    """
-    rows = []
-    for width in widths:
-        if width % 2 == 0:
-            raise ValueError(f"context widths must be odd, got {width}")
-        system = system_factory(width)
-        report = evaluate(system, test_set, labels)
-        rows.append((width, report.overall_fa))
-    if csv_path is not None:
-        with open(csv_path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["width", "frame_accuracy"])
-            writer.writerows(rows)
-    return rows
-
-
-def architecture_grid(depths: list[int], layer_widths: list[int],
-                      pretrain_options: list[bool],
-                      cell_runner: Callable[[int, int, bool], float],
-                      csv_path=None) -> list[tuple[int, int, bool, float]]:
-    """Evaluate every (depth, width, pretrain) cell with a caller-supplied
-    runner returning the cell's frame accuracy."""
-    rows = []
-    for depth in depths:
-        for width in layer_widths:
-            for pretrain in pretrain_options:
-                fa = cell_runner(depth, width, pretrain)
-                rows.append((depth, width, pretrain, fa))
-    if csv_path is not None:
-        with open(csv_path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["depth", "neurons", "pretrain", "frame_accuracy"])
-            for depth, width, pretrain, fa in rows:
-                writer.writerow([depth, width, "RBM" if pretrain else "RND", fa])
-    return rows
-
-
 def format_report(report: EvalReport) -> str:
     """Pretty text table: overall plus per-concept frame accuracy."""
     lines = [f"overall F.A.: {report.overall_fa:.2f}%"]
@@ -121,11 +82,16 @@ def format_report(report: EvalReport) -> str:
     return "\n".join(lines)
 
 
-def write_report_csv(report: EvalReport, path) -> None:
+def write_csv(path, header: list[str], rows) -> None:
+    """One CSV table: the header row, then ``rows``."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["concept", "frames", "frame_accuracy"])
-        for label, fa in report.per_concept_fa.items():
-            writer.writerow([label, report.frame_counts[label], fa])
-        writer.writerow(["OVERALL", sum(report.frame_counts.values()),
-                         report.overall_fa])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_report_csv(report: EvalReport, path) -> None:
+    rows = [[label, report.frame_counts[label], fa]
+            for label, fa in report.per_concept_fa.items()]
+    rows.append(["OVERALL", sum(report.frame_counts.values()), report.overall_fa])
+    write_csv(path, ["concept", "frames", "frame_accuracy"], rows)

@@ -131,23 +131,6 @@ def _frame_matrix(samples: np.ndarray, win: int, hop: int) -> np.ndarray:
     return samples[idx]
 
 
-def _frame_samples(sample_rate: int) -> tuple[int, int]:
-    """(window, hop) in samples of the fixed 25 ms / 10 ms framing."""
-    return (int(round(FRAME_LENGTH_MS * sample_rate / 1000.0)),
-            int(round(FRAME_SHIFT_MS * sample_rate / 1000.0)))
-
-
-def frame_signal(clip: AudioClip) -> np.ndarray:
-    """Split a clip into overlapping frames multiplied by a periodic Hamming window.
-
-    Frame t starts at ``t * hop`` samples; a trailing partial frame is
-    discarded. Raises ClipTooShort when no full frame fits.
-    """
-    win, hop = _frame_samples(clip.sample_rate)
-    frames = _frame_matrix(clip.samples, win, hop)
-    return frames * periodic_hamming(win)[None, :]
-
-
 def mel_filterbank(sample_rate: int = CANONICAL_SAMPLE_RATE) -> np.ndarray:
     """Triangular mel filterbank as a (NUM_MEL_FILTERS, NFFT//2 + 1) matrix."""
 
@@ -180,39 +163,26 @@ def _cached_fbank(sample_rate: int) -> np.ndarray:
     return _FBANK_CACHE[sample_rate]
 
 
-def _mfcc_from_frames(windowed: np.ndarray, raw_energy: np.ndarray,
-                      sample_rate: int) -> np.ndarray:
-    pspec = np.abs(np.fft.rfft(windowed, NFFT, axis=1)) ** 2
-    mel_energies = pspec @ _cached_fbank(sample_rate).T
-    log_mel = np.log(np.maximum(mel_energies, 1e-10))
-    ceps = scipy.fft.dct(log_mel, type=2, axis=1, norm="ortho")[:, :NUM_CEPS]
-    log_e = np.log(np.maximum(raw_energy, 1e-10))
-    return np.hstack([ceps, log_e[:, None]])
-
-
-def compute_mfcc(frame: np.ndarray, sample_rate: int,
-                 raw_energy: float | None = None) -> np.ndarray:
-    """MFCC vector [C0..C12, logE] for one windowed frame.
-
-    ``raw_energy`` overrides the energy term with the pre-window frame
-    energy; when omitted the windowed frame's energy is used.
-    """
-    frame = np.asarray(frame, dtype=np.float64)
-    if raw_energy is None:
-        raw_energy = float(np.sum(frame ** 2))
-    return _mfcc_from_frames(frame[None, :], np.array([raw_energy]),
-                             sample_rate)[0]
-
-
 def mfcc_sequence(clip: AudioClip) -> FeatureSequence:
-    """Full front-end: pre-emphasis, framing, MFCC + log raw energy per frame."""
+    """Full front-end: pre-emphasis, framing, MFCC + log raw energy per frame.
+
+    Frame t covers samples [t * hop, t * hop + win) of the pre-emphasized
+    signal (25 ms windows every 10 ms); a trailing partial frame is
+    discarded, and a clip shorter than one frame raises ClipTooShort.
+    """
     emphasized = np.append(clip.samples[0],
                            clip.samples[1:] - PREEMPHASIS * clip.samples[:-1])
-    win, hop = _frame_samples(clip.sample_rate)
+    win = int(round(FRAME_LENGTH_MS * clip.sample_rate / 1000.0))
+    hop = int(round(FRAME_SHIFT_MS * clip.sample_rate / 1000.0))
     raw_frames = _frame_matrix(emphasized, win, hop)
     raw_energy = np.sum(raw_frames ** 2, axis=1)
     windowed = raw_frames * periodic_hamming(win)[None, :]
-    return FeatureSequence(_mfcc_from_frames(windowed, raw_energy, clip.sample_rate))
+    pspec = np.abs(np.fft.rfft(windowed, NFFT, axis=1)) ** 2
+    mel_energies = pspec @ _cached_fbank(clip.sample_rate).T
+    log_mel = np.log(np.maximum(mel_energies, 1e-10))
+    ceps = scipy.fft.dct(log_mel, type=2, axis=1, norm="ortho")[:, :NUM_CEPS]
+    log_e = np.log(np.maximum(raw_energy, 1e-10))
+    return FeatureSequence(np.hstack([ceps, log_e[:, None]]))
 
 
 def _delta(frames: np.ndarray) -> np.ndarray:

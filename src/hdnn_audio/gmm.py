@@ -50,10 +50,14 @@ def _component_log_densities(gmm: DiagGmm, data: np.ndarray) -> np.ndarray:
     const = -0.5 * (gmm.dim * np.log(2.0 * np.pi)
                     + np.log(gmm.variances).sum(axis=1))  # K
     inv_var = 1.0 / gmm.variances
-    # expand (x - mu)^2 / var without materializing N x K x D
-    quad = (data ** 2) @ inv_var.T - 2.0 * data @ (gmm.means * inv_var).T \
-        + ((gmm.means ** 2) * inv_var).sum(axis=1)
-    return np.log(gmm.weights) + const - 0.5 * quad
+    # expand (x - mu)^2 / var without materializing N x K x D; updated in
+    # place with the operations of ln w + const - 0.5 * (x^2 @ iv - 2x @ mu iv
+    # + mu^2 iv) in that order, so the bits are the plain expression's
+    quad = (data ** 2) @ inv_var.T
+    quad -= 2.0 * data @ (gmm.means * inv_var).T
+    quad += ((gmm.means ** 2) * inv_var).sum(axis=1)
+    quad *= 0.5
+    return np.subtract(np.log(gmm.weights) + const, quad, out=quad)
 
 
 def logsumexp(a: np.ndarray) -> np.ndarray:

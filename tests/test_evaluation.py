@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from hdnn_audio.errors import EmptyInput, LengthMismatch
-from hdnn_audio.evaluation import (EvalReport, architecture_grid,
-                                   context_sweep, evaluate, format_report,
-                                   frame_accuracy, write_report_csv)
+from hdnn_audio.evaluation import (EvalReport, evaluate, format_report,
+                                   frame_accuracy, relative_error_reduction,
+                                   write_report_csv)
 from hdnn_audio.features import FeatureSequence
 
 
@@ -62,40 +62,17 @@ class TestEvaluate:
             evaluate(lambda seq: np.zeros(0), [], ["x"])
 
 
-class TestSweeps:
-    def test_context_sweep_rows_and_csv(self, rng, tmp_path):
-        test_set = make_test_set(rng)
+class TestRelativeErrorReduction:
+    def test_desk_reference_numbers(self):
+        # the H-DNN at 82.3 % over GMM 69.8, NN 73.9 and DNN 80.1 %
+        reductions = [relative_error_reduction(base, 82.3)
+                      for base in (69.8, 73.9, 80.1)]
+        assert reductions == pytest.approx([41.4, 32.2, 11.1], abs=0.05)
 
-        def factory(width):
-            return lambda seq: np.zeros(seq.num_frames, dtype=int)
-
-        csv_path = tmp_path / "sweep.csv"
-        rows = context_sweep([1, 3], factory, test_set, ["x", "y"], csv_path)
-        assert rows == [(1, 50.0), (3, 50.0)]
-        with open(csv_path) as f:
-            parsed = list(csv.reader(f))
-        assert parsed[0] == ["width", "frame_accuracy"]
-        assert len(parsed) == 3
-
-    def test_context_sweep_rejects_even_width(self, rng):
-        with pytest.raises(ValueError):
-            context_sweep([2], lambda w: None, make_test_set(rng), ["x", "y"])
-
-    def test_architecture_grid(self, tmp_path):
-        calls = []
-
-        def runner(depth, width, pretrain):
-            calls.append((depth, width, pretrain))
-            return float(depth * width + pretrain)
-
-        rows = architecture_grid([1, 2], [10], [False, True], runner,
-                                 tmp_path / "grid.csv")
-        assert len(rows) == 4
-        assert (2, 10, True, 21.0) in rows
-        with open(tmp_path / "grid.csv") as f:
-            parsed = list(csv.reader(f))
-        assert parsed[0] == ["depth", "neurons", "pretrain", "frame_accuracy"]
-        assert parsed[1][2] in ("RBM", "RND")
+    def test_no_gain_and_perfect_baseline(self):
+        assert relative_error_reduction(70.0, 70.0) == 0.0
+        assert relative_error_reduction(70.0, 100.0) == 100.0
+        assert np.isnan(relative_error_reduction(100.0, 90.0))
 
 
 class TestReports:
