@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from hdnn_audio.cli import main
 from hdnn_audio.errors import EmptyInput, LengthMismatch
 from hdnn_audio.evaluation import (EvalReport, evaluate, format_report,
                                    frame_accuracy, relative_error_reduction,
@@ -60,6 +61,17 @@ class TestEvaluate:
     def test_empty_test_set(self):
         with pytest.raises(EmptyInput):
             evaluate(lambda seq: np.zeros(0), [], ["x"])
+
+
+class TestSweeps:
+    def test_context_sweep_rejects_even_width(self, tmp_path, capsys):
+        # every width is checked before the first network is trained
+        out_dir = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main(["--out-dir", str(out_dir), "sweep-context", "--widths", "1,2"])
+        assert exc.value.code == 2
+        assert "odd" in capsys.readouterr().err
+        assert not (out_dir / "sweep.csv").exists()
 
 
 class TestRelativeErrorReduction:
