@@ -38,6 +38,10 @@ COMPARE_SYSTEMS = [
     ("dnn", "train-nn", []),
     ("hdnn", "train-hdnn", []),
 ]
+# sweep-context trains each width's network on raw stacked frames from
+# random initialisation; applied over the run's config, so the snapshot
+# and fingerprint record what was trained
+SWEEP_CONTEXT_SETTINGS = ["context.dct_enabled=false", "pretrain=null"]
 # the H-DNN's relative frame-error reduction (%) over each baseline, as
 # the paper reports it
 PAPER_REDUCTIONS = {"best GMM": 54.0, "nn-x9": 33.0, "dnn": 12.0}
@@ -147,7 +151,8 @@ def cmd_sweep_context(cfg: RunConfig, out_dir: Path, widths: list[int]) -> None:
     for width in widths:
         _, classifier, _ = systems.train_nn_system(
             corpus, hidden_dims=cfg.nn.hidden_dims, width=width,
-            schedule=cfg.nn.schedule, dct_keep=None, pretrain=None)
+            schedule=cfg.nn.schedule, dct_keep=cfg.context.dct_keep,
+            pretrain=cfg.pretrain)
         rows.append([width, _test_fa(classifier, corpus)])
     evaluation.write_csv(out_dir / "sweep.csv", ["width", "frame_accuracy"], rows)
     for width, fa in rows:
@@ -249,6 +254,8 @@ def main(argv=None) -> int:
     if args.out_dir is not None:
         # a JSON string is a quoted YAML scalar, so the path stays a string
         overrides.append(f"paths.out_dir={json.dumps(args.out_dir)}")
+    if args.command == "sweep-context":
+        overrides += SWEEP_CONTEXT_SETTINGS
     try:
         cfg = load_config(args.config, overrides)
         out_dir = Path(cfg.paths.out_dir)

@@ -1,7 +1,26 @@
 """GMM-UBM baseline: diagonal-covariance EM, k-means++ initialized UBM,
 per-concept adaptation by EM re-estimation, and log-likelihood-ratio
 frame scoring with one log-sum-exp over the stacked UBM and concept
-component densities."""
+component densities.
+
+With 64 components on up to 294 dimensions, most component log densities
+of a frame sit hundreds of nats below its best one. Two slow paths of
+NumPy and OpenBLAS follow from that, and both are kept off without
+changing a bit:
+
+- ``logsumexp`` sets the arguments below EXP_ZERO_BELOW to -inf before
+  ``np.exp``, which otherwise takes a scalar path for every result that
+  underflows. ``np.exp`` gives +0.0 for all of them either way, so
+  ``logsumexp`` stays exact: its subnormal terms are kept.
+- EM sets log-responsibilities below RESP_LOG_FLOOR, the log of the
+  smallest normal double, to -inf, so no subnormal responsibility reaches
+  ``nk`` or the M-step products, where OpenBLAS takes microcode assists
+  on them. A responsibility below 2**-1022, times a feature value or its
+  square, is under half an ulp of any running sum above about 1e-280, so
+  dropping it leaves every sum's bits as they were. A component whose
+  sums all stay below that has ``nk < RESP_MASS_FLOOR`` and is reset to
+  the global statistics (or, in means-only adaptation, kept) either way.
+"""
 
 from __future__ import annotations
 
@@ -15,6 +34,10 @@ RESP_MASS_FLOOR = 1e-8
 VAR_FLOOR_FRACTION = 1e-3
 DEFAULT_LL_GAIN_STOP = 1e-4  # per-frame log-likelihood gain
 SCORE_ROW_BLOCK = 1024  # frames scored at once against the stacked bank
+# np.exp returns +0.0 for every argument below -745.1332
+EXP_ZERO_BELOW = -746.0
+# ln of the smallest normal double: exp of anything below is subnormal or 0
+RESP_LOG_FLOOR = float(np.log(np.finfo(np.float64).tiny))
 
 
 @dataclass
@@ -42,19 +65,26 @@ class GmmConceptBank:
     labels: list[str]
 
 
-def _component_log_densities(gmm: DiagGmm, data: np.ndarray) -> np.ndarray:
-    """N x K matrix of ln(w_k N(x | mu_k, diag sigma_k))."""
+def _component_log_densities(gmm: DiagGmm, data: np.ndarray,
+                             work: np.ndarray | None = None) -> np.ndarray:
+    """N x K matrix of ln(w_k N(x | mu_k, diag sigma_k)).
+
+    ``work`` is an N x D scratch buffer (a fresh one by default) that
+    this call overwrites.
+    """
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     if data.shape[1] != gmm.dim:
         raise DimensionMismatch(f"data dim {data.shape[1]} != gmm dim {gmm.dim}")
+    if work is None:
+        work = np.empty_like(data)
     const = -0.5 * (gmm.dim * np.log(2.0 * np.pi)
                     + np.log(gmm.variances).sum(axis=1))  # K
     inv_var = 1.0 / gmm.variances
     # expand (x - mu)^2 / var without materializing N x K x D; updated in
     # place with the operations of ln w + const - 0.5 * (x^2 @ iv - 2x @ mu iv
     # + mu^2 iv) in that order, so the bits are the plain expression's
-    quad = (data ** 2) @ inv_var.T
-    quad -= 2.0 * data @ (gmm.means * inv_var).T
+    quad = np.square(data, out=work) @ inv_var.T
+    quad -= np.multiply(data, 2.0, out=work) @ (gmm.means * inv_var).T
     quad += ((gmm.means ** 2) * inv_var).sum(axis=1)
     quad *= 0.5
     return np.subtract(np.log(gmm.weights) + const, quad, out=quad)
@@ -67,15 +97,18 @@ def logsumexp(a: np.ndarray) -> np.ndarray:
     The maxima are counted and taken out of the sum, so the result is
     log1p(s / m) + ln m + max with s the sum of the other terms. Rows
     where that is not finite (all -inf, +inf or NaN entries) take the
-    direct ln sum(exp(a)) instead.
+    direct ln sum(exp(a)) instead. Differences below EXP_ZERO_BELOW are
+    set to -inf before ``np.exp``: both give +0.0, but ``np.exp`` takes a
+    scalar path for each result that underflows, and -inf does not.
     """
     a = np.asarray(a, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a_max = a.max(axis=-1, keepdims=True)
         is_max = a == a_max
         m = is_max.sum(axis=-1, keepdims=True, dtype=np.float64)
-        e = np.where(is_max, -np.inf, a)
-        np.subtract(e, a_max, out=e)
+        e = np.subtract(a, a_max)
+        is_max |= e < EXP_ZERO_BELOW
+        np.copyto(e, -np.inf, where=is_max)
         s = np.exp(e, out=e).sum(axis=-1, keepdims=True)
         s = np.where(s == 0, s, s / m)
         out = (np.log1p(s) + np.log(m) + a_max)[..., 0]
@@ -88,6 +121,16 @@ def logsumexp(a: np.ndarray) -> np.ndarray:
 def log_likelihoods(gmm: DiagGmm, data: np.ndarray) -> np.ndarray:
     """Per-frame ln p(x) via log-sum-exp over components."""
     return logsumexp(_component_log_densities(gmm, data))
+
+
+def _responsibilities(comp_ll: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(comp_ll - logsumexp(comp_ll)), computed in place in ``comp_ll``,
+    with the subnormal responsibilities set to 0 (see the module docstring).
+    Returns (responsibilities, per-frame ln p(x))."""
+    total = logsumexp(comp_ll)
+    comp_ll -= total[:, None]
+    np.copyto(comp_ll, -np.inf, where=comp_ll < RESP_LOG_FLOOR)
+    return np.exp(comp_ll, out=comp_ll), total
 
 
 def _global_var_floor(data: np.ndarray) -> np.ndarray:
@@ -114,16 +157,16 @@ def em_train(init: DiagGmm, data: np.ndarray, iterations: int,
     global_mean = data.mean(axis=0)
     global_var = np.maximum(data.var(axis=0), var_floor)
     ll_history: list[float] = []
+    work = np.empty_like(data)  # N x D scratch, shared by E- and M-step
     for _ in range(iterations):
-        comp_ll = _component_log_densities(gmm, data)
-        total = logsumexp(comp_ll)
+        resp, total = _responsibilities(
+            _component_log_densities(gmm, data, work))  # N x K
         ll_history.append(float(total.sum()))
-        resp = np.exp(comp_ll - total[:, None])  # N x K
         nk = resp.sum(axis=0)
         degenerate = nk < RESP_MASS_FLOOR
         safe_nk = np.maximum(nk, RESP_MASS_FLOOR)
         gmm.means = (resp.T @ data) / safe_nk[:, None]
-        second = (resp.T @ (data ** 2)) / safe_nk[:, None]
+        second = (resp.T @ np.square(data, out=work)) / safe_nk[:, None]
         gmm.variances = np.maximum(second - gmm.means ** 2, var_floor)
         gmm.weights = nk / n
         if degenerate.any():
@@ -149,16 +192,24 @@ def kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator,
         data = data[rng.choice(n, size=subsample, replace=False)]
         n = subsample
     centers = np.empty((k, data.shape[1]))
+    diff = np.empty_like(data)  # n x D scratch
+
+    def sq_dist(center):  # ((data - center) ** 2).sum(axis=1)
+        np.subtract(data, center, out=diff)
+        return np.square(diff, out=diff).sum(axis=1)
+
     centers[0] = data[rng.integers(n)]
-    d2 = ((data - centers[0]) ** 2).sum(axis=1)
+    d2 = sq_dist(centers[0])
     for j in range(1, k):
         probs = d2 / d2.sum() if d2.sum() > 0 else np.full(n, 1.0 / n)
         centers[j] = data[rng.choice(n, p=probs)]
-        d2 = np.minimum(d2, ((data - centers[j]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, sq_dist(centers[j]))
+    # the Lloyd passes' (data ** 2).sum(axis=1) and 2 * data, computed once
+    sq_norms = np.square(data, out=diff).sum(axis=1)
+    twice = np.multiply(data, 2, out=diff)
     assign = None
     for _ in range(lloyd_iterations):
-        dist = (data ** 2).sum(axis=1)[:, None] - 2 * data @ centers.T \
-            + (centers ** 2).sum(axis=1)
+        dist = sq_norms[:, None] - twice @ centers.T + (centers ** 2).sum(axis=1)
         new_assign = dist.argmin(axis=1)
         if assign is not None and np.array_equal(new_assign, assign):
             break
@@ -216,8 +267,7 @@ def adapt_concept(ubm: DiagGmm, concept_data: np.ndarray,
 def _adapt_means_only(ubm: DiagGmm, data: np.ndarray, iterations: int) -> DiagGmm:
     model = ubm.copy()
     for _ in range(iterations):
-        comp_ll = _component_log_densities(model, data)
-        resp = np.exp(comp_ll - logsumexp(comp_ll)[:, None])
+        resp, _ = _responsibilities(_component_log_densities(model, data))
         nk = resp.sum(axis=0)
         updated = nk > RESP_MASS_FLOOR
         means = (resp.T @ data) / np.maximum(nk, RESP_MASS_FLOOR)[:, None]
@@ -242,7 +292,8 @@ def log_likelihood_ratios(bank: GmmConceptBank, frames: np.ndarray) -> np.ndarra
     # near-equal blocks: a last block of a few rows would take another BLAS
     # kernel than the whole input does, and round otherwise
     for block in np.array_split(frames, blocks):
-        ll = logsumexp(np.stack([_component_log_densities(model, block)
+        work = np.empty_like(block)
+        ll = logsumexp(np.stack([_component_log_densities(model, block, work)
                                  for model in models], axis=1))
         llrs.append(ll[:, 1:] - ll[:, :1])
     return np.concatenate(llrs)

@@ -116,13 +116,15 @@ class NewbobSchedule:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function that never overflows: exp is only taken of -|z|.
+    """Logistic function that never overflows: exp is only taken of
+    min(z, 0) and -|z|, as exp(min(z, 0)) / (1 + exp(-|z|)).
 
     Bitwise equal to the two-branch form 1/(1+exp(-z)) for z >= 0 and
-    exp(z)/(1+exp(z)) for z < 0, without gathering either branch.
+    exp(z)/(1+exp(z)) for z < 0, without gathering either branch: the
+    numerator is exp(0) = 1 for z >= 0 (-0.0 included) and the
+    denominator's exp(z) for z < 0. NaN stays NaN.
     """
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:

@@ -605,6 +605,35 @@ class TestSweeps:
                     + ["--out-dir", str(nn), "train-nn"]) == 0
         assert rows[2][1] == overall_fa(nn)
 
+    def test_sweep_context_records_what_it_trains(self, cli_corpus, tmp_path):
+        settings = [item for item in NN_SETTINGS if item != "pretrain=null"] + [
+            "pretrain.gb_epochs=1", "pretrain.bb_epochs=1"]
+        args = ["--set", f"paths.corpus_dir={cli_corpus}"] + as_sets(settings)
+        # a pretrain section with the DCT on, and both off, sweep the same
+        # raw-frame, random-init networks under one fingerprint
+        runs = {name: tmp_path / name for name in ("on", "off")}
+        for name, extra in (("on", []),
+                            ("off", ["pretrain=null", "context.dct_enabled=false"])):
+            assert main(args + as_sets(extra) + ["--out-dir", str(runs[name]),
+                        "sweep-context", "--widths", "1,5"]) == 0
+        for name in ("fingerprint.txt", "sweep.csv"):
+            assert (runs["on"] / name).read_bytes() == (runs["off"] / name).read_bytes()
+        snapshot = yaml.safe_load((runs["on"] / "config.yaml").read_text())
+        assert snapshot["context"]["dct_enabled"] is False
+        assert snapshot["pretrain"] is None
+        # the sweep's rows before the settings were recorded, as an oracle
+        cfg = load_config(runs["on"] / "config.yaml")
+        corpus = cli._prepare(cfg)
+        rows = []
+        for width in (1, 5):
+            _, classifier, _ = systems.train_nn_system(
+                corpus, hidden_dims=cfg.nn.hidden_dims, width=width,
+                schedule=cfg.nn.schedule, dct_keep=None, pretrain=None)
+            rows.append([width, cli._test_fa(classifier, corpus)])
+        evaluation.write_csv(tmp_path / "want.csv", ["width", "frame_accuracy"], rows)
+        assert (runs["on"] / "sweep.csv").read_bytes() \
+            == (tmp_path / "want.csv").read_bytes()
+
     def test_grid_arch_csv(self, cli_corpus, tmp_path):
         settings = [item for item in NN_SETTINGS if item != "pretrain=null"] + [
             "pretrain.gb_epochs=1", "pretrain.bb_epochs=1"]

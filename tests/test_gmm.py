@@ -74,6 +74,40 @@ class TestLogsumexp:
         assert np.isnan(out[5])
         assert out[8] == 5.0 + np.log(16.0)
 
+    # each row's non-max terms sit within one nat below its gap from the
+    # max, where exp gives normal (-700), subnormal (-708.5), subnormal and
+    # zero (-745.0), and zero (-745.2 and below) terms; from -745.2 down
+    # some or all of them are below EXP_ZERO_BELOW
+    GAPS = (-700.0, -708.5, -745.0, -745.2, -746.0, -800.0)
+
+    def gap_rows(self, rng, k=16):
+        """Max 0, so log1p(s) = s and the result shows every bit of the
+        sum s of the other terms."""
+        rows = np.empty((len(self.GAPS), k))
+        for row, gap in zip(rows, self.GAPS):
+            row[:] = gap - rng.random(k)
+            row[rng.integers(k)] = 0.0
+        return rows
+
+    def test_underflowing_terms_1d_match_scipy(self, rng):
+        for a in self.gap_rows(rng):
+            assert_bitwise_equal(gmm.logsumexp(a), logsumexp(a, axis=-1))
+
+    def test_underflowing_terms_2d_3d_match_scipy(self, rng):
+        rows = self.gap_rows(rng, k=64)
+        assert_bitwise_equal(gmm.logsumexp(rows), logsumexp(rows, axis=-1))
+        a = np.stack([rows, rows[::-1], rows + 1e3])
+        assert_bitwise_equal(gmm.logsumexp(a), logsumexp(a, axis=-1))
+        # the subnormal terms are kept
+        assert gmm.logsumexp(rows[1]) > 0.0
+
+    def test_exp_is_zero_below_the_skip_threshold(self):
+        # what makes setting those arguments to -inf exact
+        grid = np.linspace(gmm.EXP_ZERO_BELOW - 400.0, gmm.EXP_ZERO_BELOW, 200001)
+        out = np.exp(grid)
+        assert np.all(out == 0.0) and not np.signbit(out).any()
+        assert np.exp(-745.13) > 0.0
+
 
 def random_bank(rng, d, k=64, num_concepts=8):
     """A UBM and concepts perturbed from it, as adaptation leaves them."""
@@ -273,6 +307,154 @@ class TestScoring:
         pred = classify_frames(bank, data)
         acc = np.mean(pred == np.repeat([0, 1], 200))
         assert acc > 0.95
+
+
+# --- the loops before the subnormal-free E-step, as oracles ---
+
+def parent_component_log_densities(model, data):
+    const = -0.5 * (model.dim * np.log(2.0 * np.pi)
+                    + np.log(model.variances).sum(axis=1))
+    inv_var = 1.0 / model.variances
+    quad = (data ** 2) @ inv_var.T
+    quad -= 2.0 * data @ (model.means * inv_var).T
+    quad += ((model.means ** 2) * inv_var).sum(axis=1)
+    quad *= 0.5
+    return np.subtract(np.log(model.weights) + const, quad, out=quad)
+
+
+def parent_em_train(init, data, iterations, var_floor=None, ll_gain_stop=None):
+    n = data.shape[0]
+    model = init.copy()
+    if var_floor is None:
+        var_floor = np.maximum(gmm.VAR_FLOOR_FRACTION * data.var(axis=0), 1e-12)
+    global_mean = data.mean(axis=0)
+    global_var = np.maximum(data.var(axis=0), var_floor)
+    history = []
+    for _ in range(iterations):
+        comp_ll = parent_component_log_densities(model, data)
+        total = logsumexp(comp_ll, axis=1)
+        history.append(float(total.sum()))
+        resp = np.exp(comp_ll - total[:, None])
+        nk = resp.sum(axis=0)
+        degenerate = nk < gmm.RESP_MASS_FLOOR
+        safe_nk = np.maximum(nk, gmm.RESP_MASS_FLOOR)
+        model.means = (resp.T @ data) / safe_nk[:, None]
+        second = (resp.T @ (data ** 2)) / safe_nk[:, None]
+        model.variances = np.maximum(second - model.means ** 2, var_floor)
+        model.weights = nk / n
+        if degenerate.any():
+            model.means[degenerate] = global_mean
+            model.variances[degenerate] = global_var
+            model.weights[degenerate] = 1.0 / n
+        model.weights = model.weights / model.weights.sum()
+        if ll_gain_stop is not None and len(history) >= 2:
+            if (history[-1] - history[-2]) / n < ll_gain_stop:
+                break
+    return model, history
+
+
+def parent_adapt_means_only(ubm, data, iterations):
+    model = ubm.copy()
+    for _ in range(iterations):
+        comp_ll = parent_component_log_densities(model, data)
+        resp = np.exp(comp_ll - logsumexp(comp_ll, axis=1)[:, None])
+        nk = resp.sum(axis=0)
+        updated = nk > gmm.RESP_MASS_FLOOR
+        means = (resp.T @ data) / np.maximum(nk, gmm.RESP_MASS_FLOOR)[:, None]
+        model.means[updated] = means[updated]
+    return model
+
+
+def parent_kmeans_pp_init(data, k, rng, subsample=10000, lloyd_iterations=10):
+    n = data.shape[0]
+    if n > subsample:
+        data = data[rng.choice(n, size=subsample, replace=False)]
+        n = subsample
+    centers = np.empty((k, data.shape[1]))
+    centers[0] = data[rng.integers(n)]
+    d2 = ((data - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        probs = d2 / d2.sum() if d2.sum() > 0 else np.full(n, 1.0 / n)
+        centers[j] = data[rng.choice(n, p=probs)]
+        d2 = np.minimum(d2, ((data - centers[j]) ** 2).sum(axis=1))
+    assign = None
+    for _ in range(lloyd_iterations):
+        dist = (data ** 2).sum(axis=1)[:, None] - 2 * data @ centers.T \
+            + (centers ** 2).sum(axis=1)
+        new_assign = dist.argmin(axis=1)
+        if assign is not None and np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for j in range(k):
+            members = data[assign == j]
+            if len(members):
+                centers[j] = members.mean(axis=0)
+    floor = np.maximum(gmm.VAR_FLOOR_FRACTION * data.var(axis=0), 1e-12)
+    weights = np.empty(k)
+    variances = np.empty_like(centers)
+    for j in range(k):
+        members = data[assign == j] if assign is not None else data
+        weights[j] = max(len(members), 1)
+        variances[j] = np.maximum(members.var(axis=0), floor) if len(members) \
+            else np.maximum(data.var(axis=0), floor)
+    weights /= weights.sum()
+    return DiagGmm(weights=weights, means=centers, variances=variances)
+
+
+def assert_same_gmm(actual, expected):
+    for field in ("weights", "means", "variances"):
+        assert_bitwise_equal(getattr(actual, field), getattr(expected, field))
+
+
+class TestSubnormalFreeEm:
+    """Dropping the subnormal responsibilities keeps every bit of EM."""
+
+    @pytest.fixture(scope="class")
+    def clusters(self):
+        rng = np.random.default_rng(0)
+        return np.vstack([rng.normal(-2.3, 1.0, (600, 70)),
+                          rng.normal(2.3, 1.0, (600, 70))])
+
+    @pytest.fixture(scope="class")
+    def init(self, clusters):
+        return parent_kmeans_pp_init(clusters, 8, np.random.default_rng(0))
+
+    def test_first_e_step_has_subnormal_responsibilities(self, clusters, init):
+        comp_ll = parent_component_log_densities(init, clusters)
+        resp = np.exp(comp_ll - logsumexp(comp_ll, axis=1)[:, None])
+        subnormal = (resp > 0) & (resp < np.finfo(np.float64).tiny)
+        assert subnormal.mean() > 0.05
+
+    def test_component_log_densities_with_a_shared_buffer(self, clusters, init):
+        work = np.full_like(clusters, np.nan)
+        for model in (init, random_gmm(np.random.default_rng(2), k=8, d=70)):
+            assert_bitwise_equal(gmm._component_log_densities(model, clusters, work),
+                                 parent_component_log_densities(model, clusters))
+
+    def test_kmeans_pp_init(self, clusters, init):
+        assert_same_gmm(kmeans_pp_init(clusters, 8, np.random.default_rng(0)), init)
+        # the subsampled path
+        big = np.vstack([clusters] * 3)
+        assert_same_gmm(kmeans_pp_init(big, 8, np.random.default_rng(1), subsample=2000),
+                        parent_kmeans_pp_init(big, 8, np.random.default_rng(1),
+                                              subsample=2000))
+
+    def test_em_train(self, clusters, init):
+        model, history = em_train(init, clusters, 15, ll_gain_stop=1e-12)
+        want, want_history = parent_em_train(init, clusters, 15, ll_gain_stop=1e-12)
+        assert_same_gmm(model, want)
+        assert_bitwise_equal(history, want_history)
+
+    def test_adapt_concept(self, clusters, init):
+        ubm, _ = parent_em_train(init, clusters, 5)
+        concept = clusters[:300] + 0.4
+        floor = np.maximum(gmm.VAR_FLOOR_FRACTION * ubm_global_variance(ubm), 1e-12)
+        assert_same_gmm(adapt_concept(ubm, concept, iterations=5),
+                        parent_em_train(ubm, concept, 5, var_floor=floor)[0])
+        tiny = clusters[::240] + 0.4  # 5 frames < 8 components: means only
+        want = parent_adapt_means_only(ubm, tiny, 5)
+        assert_same_gmm(adapt_concept(ubm, tiny, iterations=5), want)
+        assert_same_gmm(gmm._adapt_means_only(ubm, tiny, 5), want)
 
 
 class TestEmProperty:

@@ -224,6 +224,9 @@ class TestSigmoid:
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
         assert got[-2] == 1.0 and got[-1] == 0.0
 
+    def test_nan_stays_nan(self):
+        assert np.isnan(sigmoid(np.array([np.nan, 1.0, np.nan]))[[0, 2]]).all()
+
 
 def forward_from(saved, batch):
     """Posteriors of a snapshot (weights, bias) list with the standard
