@@ -2,8 +2,10 @@
 
 Subcommands: synth-data, train-gmm, train-nn, train-hdnn, compare,
 evaluate, sweep-context, grid-arch. Every run writes its resolved config
-snapshot and fingerprint into the output directory; compare also writes
-one per system, into the system's own directory.
+snapshot and fingerprint into the output directory. compare, sweep-context
+and grid-arch train each system as its train-* command does, into its own
+directory with its own snapshot, which evaluate can score: <out>/<system>/,
+<out>/width-<W>/ and <out>/<D>x<N>-RBM|RND/ (pretrained or random init).
 """
 
 from __future__ import annotations
@@ -95,20 +97,28 @@ def cmd_synth_data(cfg: RunConfig, out_dir: Path) -> None:
     print(f"wrote {len(segments)} clips to {cfg.paths.corpus_dir}")
 
 
-def cmd_compare(cfg: RunConfig, out_dir: Path) -> None:
-    """Train every system of COMPARE_SYSTEMS on one prepared corpus, each
-    into ``out_dir/<name>`` with its own config snapshot, then write and
-    print the comparison table."""
-    # each system's config is the run's snapshot under its fixed settings,
-    # all validated before the corpus is read
-    configs = {name: load_config(out_dir / "config.yaml", settings + [
+def _run_systems(cfg: RunConfig, out_dir: Path,
+                 runs: list[tuple[str, str, list[str]]]) -> list[float]:
+    """Train each ``(name, train-* command, settings)`` of ``runs`` on one
+    prepared corpus into ``out_dir/<name>``, under the run's snapshot with
+    the settings applied (they win over the run's overrides; every config is
+    validated before the corpus is read). Returns the frame accuracies."""
+    configs = [load_config(out_dir / "config.yaml", settings + [
                    f"paths.out_dir={json.dumps(str(out_dir / name))}"])
-               for name, _, settings in COMPARE_SYSTEMS}
+               for name, _, settings in runs]
     corpus = _prepare(cfg)
-    fa = {}
-    for name, command, _ in COMPARE_SYSTEMS:
-        write_snapshot(configs[name], out_dir / name)
-        fa[name] = _train(command, configs[name], corpus, out_dir / name).overall_fa
+    fa = []
+    for (name, command, _), system_cfg in zip(runs, configs):
+        write_snapshot(system_cfg, out_dir / name)
+        fa.append(_train(command, system_cfg, corpus, out_dir / name).overall_fa)
+    return fa
+
+
+def cmd_compare(cfg: RunConfig, out_dir: Path) -> None:
+    """Train every system of COMPARE_SYSTEMS, then write and print the
+    comparison table."""
+    fa = dict(zip([name for name, *_ in COMPARE_SYSTEMS],
+                  _run_systems(cfg, out_dir, COMPARE_SYSTEMS)))
     best_gmm = max((name for name in fa if name.startswith("gmm-")), key=fa.get)
     rows = [["frame_accuracy", name, value, ""] for name, value in fa.items()]
     lines = [f"{'system':<12} {'F.A.%':>6}"] + [f"{name:<12} {value:6.2f}"
@@ -141,19 +151,9 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path, model_path: str) -> None:
     print(evaluation.format_report(_write_report(out_dir, system, corpus)))
 
 
-def _test_fa(classifier, corpus: systems.PreparedCorpus) -> float:
-    return evaluation.evaluate(classifier, corpus.test, corpus.labels).overall_fa
-
-
 def cmd_sweep_context(cfg: RunConfig, out_dir: Path, widths: list[int]) -> None:
-    corpus = _prepare(cfg)
-    rows = []
-    for width in widths:
-        _, classifier, _ = systems.train_nn_system(
-            corpus, hidden_dims=cfg.nn.hidden_dims, width=width,
-            schedule=cfg.nn.schedule, dct_keep=cfg.context.dct_keep,
-            pretrain=cfg.pretrain)
-        rows.append([width, _test_fa(classifier, corpus)])
+    runs = [(f"width-{width}", "train-nn", [f"context.width={width}"]) for width in widths]
+    rows = [[width, fa] for width, fa in zip(widths, _run_systems(cfg, out_dir, runs))]
     evaluation.write_csv(out_dir / "sweep.csv", ["width", "frame_accuracy"], rows)
     for width, fa in rows:
         print(f"width {width:3d}: {fa:6.2f}%")
@@ -164,16 +164,11 @@ def cmd_grid_arch(cfg: RunConfig, out_dir: Path, depths: list[int],
     if True in pretrain_options and cfg.pretrain is None:
         raise ConfigError("grid-arch --pretrain on needs a pretrain section, "
                           "but pretrain is null")
-    corpus = _prepare(cfg)
-    rows = []
-    for depth, width, use_pretrain in itertools.product(depths, neurons,
-                                                        pretrain_options):
-        _, classifier, _ = systems.train_nn_system(
-            corpus, hidden_dims=[width] * depth, width=cfg.context.width,
-            schedule=cfg.nn.schedule, dct_keep=cfg.context.dct_keep,
-            pretrain=cfg.pretrain if use_pretrain else None)
-        rows.append([depth, width, "RBM" if use_pretrain else "RND",
-                     _test_fa(classifier, corpus)])
+    cells = [(depth, width, "RBM" if pre else "RND")
+             for depth, width, pre in itertools.product(depths, neurons, pretrain_options)]
+    runs = [(f"{depth}x{width}-{pre}", "train-nn", [f"nn.hidden_dims={[width] * depth}"]
+             + (["pretrain=null"] if pre == "RND" else [])) for depth, width, pre in cells]
+    rows = [[*cell, fa] for cell, fa in zip(cells, _run_systems(cfg, out_dir, runs))]
     evaluation.write_csv(out_dir / "grid.csv",
                          ["depth", "neurons", "pretrain", "frame_accuracy"], rows)
     for depth, width, pre, fa in rows:

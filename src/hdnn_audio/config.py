@@ -26,8 +26,7 @@ from .features import ContextConfig
 from .hierarchy import SparseContextConfig
 from .mlp import TrainSchedule
 from .rbm import PretrainConfig
-
-GMM_FEATURE_MODES = ("delta42", "stacked")
+from .systems import GMM_FEATURE_MODES
 
 # derived from RunConfig.seed, never read from a file or an override
 DERIVED_KEY = "rng_seed"

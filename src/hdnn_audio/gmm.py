@@ -33,6 +33,7 @@ from .errors import DataTooSmall, DimensionMismatch, EmptyInput
 RESP_MASS_FLOOR = 1e-8
 VAR_FLOOR_FRACTION = 1e-3
 DEFAULT_LL_GAIN_STOP = 1e-4  # per-frame log-likelihood gain
+LLOYD_ITERATIONS = 10  # after k-means++ seeding
 SCORE_ROW_BLOCK = 1024  # frames scored at once against the stacked bank
 # np.exp returns +0.0 for every argument below -745.1332
 EXP_ZERO_BELOW = -746.0
@@ -66,25 +67,25 @@ class GmmConceptBank:
 
 
 def _component_log_densities(gmm: DiagGmm, data: np.ndarray,
-                             work: np.ndarray | None = None) -> np.ndarray:
+                             sq: np.ndarray | None = None) -> np.ndarray:
     """N x K matrix of ln(w_k N(x | mu_k, diag sigma_k)).
 
-    ``work`` is an N x D scratch buffer (a fresh one by default) that
-    this call overwrites.
+    ``sq`` is ``data ** 2``, for callers that score one data set with
+    several models or iterations; computed here by default.
     """
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     if data.shape[1] != gmm.dim:
         raise DimensionMismatch(f"data dim {data.shape[1]} != gmm dim {gmm.dim}")
-    if work is None:
-        work = np.empty_like(data)
+    if sq is None:
+        sq = np.square(data)
     const = -0.5 * (gmm.dim * np.log(2.0 * np.pi)
                     + np.log(gmm.variances).sum(axis=1))  # K
     inv_var = 1.0 / gmm.variances
-    # expand (x - mu)^2 / var without materializing N x K x D; updated in
-    # place with the operations of ln w + const - 0.5 * (x^2 @ iv - 2x @ mu iv
-    # + mu^2 iv) in that order, so the bits are the plain expression's
-    quad = np.square(data, out=work) @ inv_var.T
-    quad -= np.multiply(data, 2.0, out=work) @ (gmm.means * inv_var).T
+    # expand (x - mu)^2 / var without materializing N x K x D, in place, in the
+    # order ln w + const - 0.5 * (x^2 @ iv - x @ 2 mu iv + mu^2 iv); scaling by
+    # 2 is exact, so the bits are the plain expression's (with 2x @ mu iv)
+    quad = sq @ inv_var.T
+    quad -= data @ (2.0 * (gmm.means * inv_var)).T
     quad += ((gmm.means ** 2) * inv_var).sum(axis=1)
     quad *= 0.5
     return np.subtract(np.log(gmm.weights) + const, quad, out=quad)
@@ -157,16 +158,16 @@ def em_train(init: DiagGmm, data: np.ndarray, iterations: int,
     global_mean = data.mean(axis=0)
     global_var = np.maximum(data.var(axis=0), var_floor)
     ll_history: list[float] = []
-    work = np.empty_like(data)  # N x D scratch, shared by E- and M-step
+    sq = np.square(data)  # shared by every E- and M-step
     for _ in range(iterations):
         resp, total = _responsibilities(
-            _component_log_densities(gmm, data, work))  # N x K
+            _component_log_densities(gmm, data, sq))  # N x K
         ll_history.append(float(total.sum()))
         nk = resp.sum(axis=0)
         degenerate = nk < RESP_MASS_FLOOR
         safe_nk = np.maximum(nk, RESP_MASS_FLOOR)
         gmm.means = (resp.T @ data) / safe_nk[:, None]
-        second = (resp.T @ np.square(data, out=work)) / safe_nk[:, None]
+        second = (resp.T @ sq) / safe_nk[:, None]
         gmm.variances = np.maximum(second - gmm.means ** 2, var_floor)
         gmm.weights = nk / n
         if degenerate.any():
@@ -181,7 +182,7 @@ def em_train(init: DiagGmm, data: np.ndarray, iterations: int,
 
 
 def kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator,
-                   subsample: int = 10000, lloyd_iterations: int = 10) -> DiagGmm:
+                   subsample: int = 10000) -> DiagGmm:
     """Seeded k-means++ centers plus a few Lloyd passes on a subsample,
     turned into a diagonal GMM (cluster fractions, means, variances)."""
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
@@ -204,14 +205,12 @@ def kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator,
         probs = d2 / d2.sum() if d2.sum() > 0 else np.full(n, 1.0 / n)
         centers[j] = data[rng.choice(n, p=probs)]
         d2 = np.minimum(d2, sq_dist(centers[j]))
-    # the Lloyd passes' (data ** 2).sum(axis=1) and 2 * data, computed once
     sq_norms = np.square(data, out=diff).sum(axis=1)
-    twice = np.multiply(data, 2, out=diff)
     assign = None
-    for _ in range(lloyd_iterations):
-        dist = sq_norms[:, None] - twice @ centers.T + (centers ** 2).sum(axis=1)
+    for _ in range(LLOYD_ITERATIONS):
+        dist = sq_norms[:, None] - data @ (2 * centers).T + (centers ** 2).sum(axis=1)
         new_assign = dist.argmin(axis=1)
-        if assign is not None and np.array_equal(new_assign, assign):
+        if np.array_equal(new_assign, assign):
             break
         assign = new_assign
         for j in range(k):
@@ -222,7 +221,7 @@ def kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator,
     weights = np.empty(k)
     variances = np.empty_like(centers)
     for j in range(k):
-        members = data[assign == j] if assign is not None else data
+        members = data[assign == j]
         weights[j] = max(len(members), 1)
         variances[j] = np.maximum(members.var(axis=0), floor) if len(members) \
             else np.maximum(data.var(axis=0), floor)
@@ -292,8 +291,8 @@ def log_likelihood_ratios(bank: GmmConceptBank, frames: np.ndarray) -> np.ndarra
     # near-equal blocks: a last block of a few rows would take another BLAS
     # kernel than the whole input does, and round otherwise
     for block in np.array_split(frames, blocks):
-        work = np.empty_like(block)
-        ll = logsumexp(np.stack([_component_log_densities(model, block, work)
+        sq = np.square(block)
+        ll = logsumexp(np.stack([_component_log_densities(model, block, sq)
                                  for model in models], axis=1))
         llrs.append(ll[:, 1:] - ll[:, :1])
     return np.concatenate(llrs)

@@ -24,6 +24,7 @@ from .features import (NUM_CEPS, ContextConfig, FeatureSequence, NormStats,
                        append_deltas, apply_norm, fit_norm_stats, mfcc_sequence,
                        stack_context, temporal_dct_reduce)
 
+GMM_FEATURE_MODES = ("delta42", "stacked")  # train_gmm_system's front-ends
 
 @dataclass
 class PreparedCorpus:
@@ -197,7 +198,7 @@ def train_gmm_system(corpus: PreparedCorpus, num_components: int,
     "stacked" (width consecutive frames, no DCT).
     Returns (system, system.classify).
     """
-    if feature_mode not in ("delta42", "stacked"):
+    if feature_mode not in GMM_FEATURE_MODES:
         raise ValueError(f"unknown feature_mode {feature_mode!r}")
     stacked = feature_mode == "stacked"
     system = System(labels=list(corpus.labels), mfcc_norm=corpus.norm,

@@ -535,25 +535,29 @@ def compare_run(cli_corpus, tmp_path_factory):
     return out
 
 
+def assert_trained_as(system_dir, command, settings, cli_corpus, out):
+    """``system_dir`` holds the files ``command`` writes with ``settings``."""
+    assert main(["--set", f"paths.corpus_dir={cli_corpus}"] + as_sets(settings)
+                + ["--out-dir", str(out), command]) == 0
+    names = ["system.acsy", "report.csv", "report.txt", "fingerprint.txt"]
+    if command == "train-nn":
+        names.append("history.csv")
+    for file_name in names:
+        assert ((system_dir / file_name).read_bytes()
+                == (out / file_name).read_bytes()), file_name
+    # the snapshot is train-*'s own but for the system's directory
+    snapshot = load_config(system_dir / "config.yaml")
+    assert snapshot.paths.out_dir == str(system_dir)
+    assert fingerprint(snapshot) == fingerprint(load_config(out / "config.yaml"))
+
+
 class TestCompare:
     @pytest.mark.parametrize("name, command, fixed", cli.COMPARE_SYSTEMS,
                              ids=[name for name, *_ in cli.COMPARE_SYSTEMS])
     def test_system_equals_its_train_command(self, name, command, fixed,
                                              compare_run, cli_corpus, tmp_path):
-        out = tmp_path / name
-        assert main(["--set", f"paths.corpus_dir={cli_corpus}"]
-                    + as_sets(COMPARE_SETTINGS + fixed)
-                    + ["--out-dir", str(out), command]) == 0
-        names = ["system.acsy", "report.csv", "report.txt", "fingerprint.txt"]
-        if command == "train-nn":
-            names.append("history.csv")
-        for file_name in names:
-            assert ((compare_run / name / file_name).read_bytes()
-                    == (out / file_name).read_bytes()), file_name
-        # the snapshot is train-*'s own but for the system's directory
-        snapshot = load_config(compare_run / name / "config.yaml")
-        assert snapshot.paths.out_dir == str(compare_run / name)
-        assert fingerprint(snapshot) == fingerprint(load_config(out / "config.yaml"))
+        assert_trained_as(compare_run / name, command, COMPARE_SETTINGS + fixed,
+                          cli_corpus, tmp_path / name)
 
     def test_table(self, compare_run):
         rows = read_csv(compare_run / "compare.csv")
@@ -590,7 +594,54 @@ class TestCompare:
         assert (tmp_path / "compare.txt").exists()
 
 
+# a grid with a pretrain section, so its cells train both ways
+GRID_SETTINGS = [item for item in NN_SETTINGS if item != "pretrain=null"] + [
+    "pretrain.gb_epochs=1", "pretrain.bb_epochs=1"]
+# each cell of the sweep and grid runs below, with the settings that make
+# train-nn train the same network
+SWEEP_CELLS = {"width-1": NN_SETTINGS + cli.SWEEP_CONTEXT_SETTINGS + ["context.width=1"],
+               "width-5": NN_SETTINGS + cli.SWEEP_CONTEXT_SETTINGS + ["context.width=5"]}
+GRID_CELLS = {"1x8-RBM": GRID_SETTINGS + ["nn.hidden_dims=[8]"],
+              "1x8-RND": GRID_SETTINGS + ["nn.hidden_dims=[8]", "pretrain=null"],
+              "2x8-RBM": GRID_SETTINGS + ["nn.hidden_dims=[8, 8]"],
+              "2x8-RND": GRID_SETTINGS + ["nn.hidden_dims=[8, 8]", "pretrain=null"]}
+
+
+@pytest.fixture(scope="module")
+def sweep_run(cli_corpus, tmp_path_factory):
+    out = tmp_path_factory.mktemp("sweep")
+    assert main(["--set", f"paths.corpus_dir={cli_corpus}"] + as_sets(NN_SETTINGS)
+                + ["--out-dir", str(out), "sweep-context", "--widths", "1,5"]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def grid_run(cli_corpus, tmp_path_factory):
+    out = tmp_path_factory.mktemp("grid")
+    assert main(["--set", f"paths.corpus_dir={cli_corpus}"] + as_sets(GRID_SETTINGS)
+                + ["--out-dir", str(out), "grid-arch", "--depths", "1,2",
+                   "--neurons", "8", "--pretrain", "on,off"]) == 0
+    return out
+
+
 class TestSweeps:
+    @pytest.mark.parametrize("name", SWEEP_CELLS)
+    def test_sweep_cell_equals_train_nn(self, name, sweep_run, cli_corpus, tmp_path):
+        assert_trained_as(sweep_run / name, "train-nn", SWEEP_CELLS[name],
+                          cli_corpus, tmp_path / name)
+
+    @pytest.mark.parametrize("name", GRID_CELLS)
+    def test_grid_cell_equals_train_nn(self, name, grid_run, cli_corpus, tmp_path):
+        assert_trained_as(grid_run / name, "train-nn", GRID_CELLS[name],
+                          cli_corpus, tmp_path / name)
+
+    def test_grid_rows_are_the_cells_accuracies(self, grid_run):
+        rows = read_csv(grid_run / "grid.csv")
+        assert [row[:3] for row in rows[1:]] == [
+            ["1", "8", "RBM"], ["1", "8", "RND"], ["2", "8", "RBM"], ["2", "8", "RND"]]
+        assert [row[3] for row in rows[1:]] == [overall_fa(grid_run / name)
+                                               for name in GRID_CELLS]
+
     def test_sweep_context_csv(self, cli_corpus, tmp_path):
         args = ["--set", f"paths.corpus_dir={cli_corpus}"] + as_sets(NN_SETTINGS)
         sweep = tmp_path / "sweep"
@@ -629,7 +680,8 @@ class TestSweeps:
             _, classifier, _ = systems.train_nn_system(
                 corpus, hidden_dims=cfg.nn.hidden_dims, width=width,
                 schedule=cfg.nn.schedule, dct_keep=None, pretrain=None)
-            rows.append([width, cli._test_fa(classifier, corpus)])
+            rows.append([width, evaluation.evaluate(classifier, corpus.test,
+                                                    corpus.labels).overall_fa])
         evaluation.write_csv(tmp_path / "want.csv", ["width", "frame_accuracy"], rows)
         assert (runs["on"] / "sweep.csv").read_bytes() \
             == (tmp_path / "want.csv").read_bytes()

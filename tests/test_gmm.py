@@ -425,11 +425,12 @@ class TestSubnormalFreeEm:
         subnormal = (resp > 0) & (resp < np.finfo(np.float64).tiny)
         assert subnormal.mean() > 0.05
 
-    def test_component_log_densities_with_a_shared_buffer(self, clusters, init):
-        work = np.full_like(clusters, np.nan)
+    def test_component_log_densities_with_a_precomputed_square(self, clusters, init):
+        sq = clusters ** 2
         for model in (init, random_gmm(np.random.default_rng(2), k=8, d=70)):
-            assert_bitwise_equal(gmm._component_log_densities(model, clusters, work),
-                                 parent_component_log_densities(model, clusters))
+            want = parent_component_log_densities(model, clusters)
+            assert_bitwise_equal(gmm._component_log_densities(model, clusters, sq), want)
+            assert_bitwise_equal(gmm._component_log_densities(model, clusters), want)
 
     def test_kmeans_pp_init(self, clusters, init):
         assert_same_gmm(kmeans_pp_init(clusters, 8, np.random.default_rng(0)), init)
