@@ -6,6 +6,8 @@ snapshot and fingerprint into the output directory. compare, sweep-context
 and grid-arch train each system as its train-* command does, into its own
 directory with its own snapshot, which evaluate can score: <out>/<system>/,
 <out>/width-<W>/ and <out>/<D>x<N>-RBM|RND/ (pretrained or random init).
+evaluate reads only EVALUATE_KEYS from its config and rejects a --set of
+any other key.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ COMPARE_SYSTEMS = [
 # random initialisation; applied over the run's config, so the snapshot
 # and fingerprint record what was trained
 SWEEP_CONTEXT_SETTINGS = ["context.dct_enabled=false", "pretrain=null"]
+# the config values evaluate reads (the split, and where the files are);
+# evaluate rejects an override of any other
+EVALUATE_KEYS = ("seed", "train_fraction", "paths")
 # the H-DNN's relative frame-error reduction (%) over each baseline, as
 # the paper reports it
 PAPER_REDUCTIONS = {"best GMM": 54.0, "nn-x9": 33.0, "dnn": 12.0}
@@ -252,6 +257,12 @@ def main(argv=None) -> int:
     if args.command == "sweep-context":
         overrides += SWEEP_CONTEXT_SETTINGS
     try:
+        if args.command == "evaluate":
+            ignored = [item for item in args.overrides
+                       if item.split("=", 1)[0].split(".")[0] not in EVALUATE_KEYS]
+            if ignored:
+                raise ConfigError(f"evaluate reads only {', '.join(EVALUATE_KEYS)} "
+                                  f"from the config; it would ignore {ignored}")
         cfg = load_config(args.config, overrides)
         out_dir = Path(cfg.paths.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

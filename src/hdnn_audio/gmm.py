@@ -4,22 +4,46 @@ frame scoring with one log-sum-exp over the stacked UBM and concept
 component densities.
 
 With 64 components on up to 294 dimensions, most component log densities
-of a frame sit hundreds of nats below its best one. Two slow paths of
-NumPy and OpenBLAS follow from that, and both are kept off without
-changing a bit:
+of a frame sit hundreds of nats below its best one. Slow paths of NumPy
+and OpenBLAS follow from that, and each is kept off without changing a
+bit:
 
-- ``logsumexp`` sets the arguments below EXP_ZERO_BELOW to -inf before
-  ``np.exp``, which otherwise takes a scalar path for every result that
-  underflows. ``np.exp`` gives +0.0 for all of them either way, so
-  ``logsumexp`` stays exact: its subnormal terms are kept.
-- EM sets log-responsibilities below RESP_LOG_FLOOR, the log of the
-  smallest normal double, to -inf, so no subnormal responsibility reaches
-  ``nk`` or the M-step products, where OpenBLAS takes microcode assists
-  on them. A responsibility below 2**-1022, times a feature value or its
-  square, is under half an ulp of any running sum above about 1e-280, so
-  dropping it leaves every sum's bits as they were. A component whose
-  sums all stay below that has ``nk < RESP_MASS_FLOOR`` and is reset to
-  the global statistics (or, in means-only adaptation, kept) either way.
+- ``np.exp`` is slow on any argument whose result is not a normal
+  number: on 16 169 x 64 inputs (a 2-vCPU Skylake-X host) it took
+  1.45 ms when every result was normal, 5.7 ms on all -inf, 10.7 ms on a
+  half -inf mix and 19 ms when every result underflowed. So the entries
+  whose term must be +0.0 are
+  left out of it (``_exp_except``): in ``logsumexp`` the maxima, which
+  the sum takes out, and the arguments below EXP_ZERO_BELOW; in EM the
+  log-responsibilities below RESP_LOG_FLOOR. They go in as 0.0, and the
+  results are multiplied by the mask of the other entries, which gives
+  +0.0 where ``np.exp`` gave +0.0 on -inf and leaves every other result,
+  NaN and inf included, as it was. ``logsumexp`` stays exact: ``np.exp``
+  gives +0.0 below EXP_ZERO_BELOW anyway, and its subnormal terms above
+  that are kept.
+- EM drops responsibilities below 2**-1022 (log-responsibilities below
+  RESP_LOG_FLOOR), so no subnormal reaches ``nk`` or the M-step
+  products, where OpenBLAS takes microcode assists on them. Such a
+  responsibility, times a feature value or its square, is under half an
+  ulp of any running sum above about 1e-280, so dropping it leaves every
+  sum's bits as they were. A component whose sums all stay below that
+  has ``nk < RESP_MASS_FLOOR`` and is reset to the global statistics (or,
+  in means-only adaptation, kept) either way.
+
+EM's E-step (``_e_step``) writes the component log densities and the
+responsibilities into two N x K buffers allocated once per ``em_train``
+call, through ``_component_log_densities`` and ``_responsibilities``
+themselves, so with the same bits. Running its
+elementwise work over row blocks gave the same bits and was as fast
+within noise, so it runs over all N rows.
+
+k-means++ seeding computes each center's squared distances as
+max(|x|^2 - 2 x.c + |c|^2, 0), one matrix-vector product, with |x|^2
+computed once for it and the Lloyd passes. The distances round otherwise
+than the subtract form's, but a pick moves only when a draw lands within
+that rounding of a bin edge of the cumulative distribution; the clamp
+keeps them non-negative, as ``rng.choice`` requires, and a row equal to
+a center gets exactly 0 and is never drawn again.
 """
 
 from __future__ import annotations
@@ -67,11 +91,15 @@ class GmmConceptBank:
 
 
 def _component_log_densities(gmm: DiagGmm, data: np.ndarray,
-                             sq: np.ndarray | None = None) -> np.ndarray:
+                             sq: np.ndarray | None = None,
+                             out: np.ndarray | None = None,
+                             work: np.ndarray | None = None) -> np.ndarray:
     """N x K matrix of ln(w_k N(x | mu_k, diag sigma_k)).
 
     ``sq`` is ``data ** 2``, for callers that score one data set with
-    several models or iterations; computed here by default.
+    several models or iterations; computed here by default. ``out`` (the
+    result) and ``work`` are N x K buffers to write into; allocated here
+    by default.
     """
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     if data.shape[1] != gmm.dim:
@@ -84,8 +112,8 @@ def _component_log_densities(gmm: DiagGmm, data: np.ndarray,
     # expand (x - mu)^2 / var without materializing N x K x D, in place, in the
     # order ln w + const - 0.5 * (x^2 @ iv - x @ 2 mu iv + mu^2 iv); scaling by
     # 2 is exact, so the bits are the plain expression's (with 2x @ mu iv)
-    quad = sq @ inv_var.T
-    quad -= data @ (2.0 * (gmm.means * inv_var)).T
+    quad = np.matmul(sq, inv_var.T, out=out)
+    quad -= np.matmul(data, (2.0 * (gmm.means * inv_var)).T, out=work)
     quad += ((gmm.means ** 2) * inv_var).sum(axis=1)
     quad *= 0.5
     return np.subtract(np.log(gmm.weights) + const, quad, out=quad)
@@ -98,9 +126,9 @@ def logsumexp(a: np.ndarray) -> np.ndarray:
     The maxima are counted and taken out of the sum, so the result is
     log1p(s / m) + ln m + max with s the sum of the other terms. Rows
     where that is not finite (all -inf, +inf or NaN entries) take the
-    direct ln sum(exp(a)) instead. Differences below EXP_ZERO_BELOW are
-    set to -inf before ``np.exp``: both give +0.0, but ``np.exp`` takes a
-    scalar path for each result that underflows, and -inf does not.
+    direct ln sum(exp(a)) instead. The maxima and the differences below
+    EXP_ZERO_BELOW are left out of ``np.exp`` (see the module docstring):
+    they are set to 0.0 before it and their results to +0.0 after it.
     """
     a = np.asarray(a, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -109,8 +137,7 @@ def logsumexp(a: np.ndarray) -> np.ndarray:
         m = is_max.sum(axis=-1, keepdims=True, dtype=np.float64)
         e = np.subtract(a, a_max)
         is_max |= e < EXP_ZERO_BELOW
-        np.copyto(e, -np.inf, where=is_max)
-        s = np.exp(e, out=e).sum(axis=-1, keepdims=True)
+        s = _exp_except(e, is_max).sum(axis=-1, keepdims=True)
         s = np.where(s == 0, s, s / m)
         out = (np.log1p(s) + np.log(m) + a_max)[..., 0]
         bad = ~np.isfinite(out)
@@ -124,14 +151,33 @@ def log_likelihoods(gmm: DiagGmm, data: np.ndarray) -> np.ndarray:
     return logsumexp(_component_log_densities(gmm, data))
 
 
-def _responsibilities(comp_ll: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """exp(comp_ll - logsumexp(comp_ll)), computed in place in ``comp_ll``,
-    with the subnormal responsibilities set to 0 (see the module docstring).
-    Returns (responsibilities, per-frame ln p(x))."""
+def _exp_except(a: np.ndarray, skip: np.ndarray) -> np.ndarray:
+    """exp(a) in place, with +0.0 where ``skip``: the skipped entries go
+    into ``np.exp`` as 0.0, and its results are multiplied by ``~skip``
+    (x * 1 is x, 1 * 0 is +0.0; see the module docstring)."""
+    np.putmask(a, skip, 0.0)
+    np.exp(a, out=a)
+    a *= ~skip
+    return a
+
+
+def _responsibilities(comp_ll: np.ndarray,
+                      out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """exp(comp_ll - logsumexp(comp_ll)), written into ``out`` (by default
+    in place in ``comp_ll``), with the subnormal responsibilities set to 0
+    (see the module docstring). Returns (responsibilities, per-frame ln p(x))."""
     total = logsumexp(comp_ll)
-    comp_ll -= total[:, None]
-    np.copyto(comp_ll, -np.inf, where=comp_ll < RESP_LOG_FLOOR)
-    return np.exp(comp_ll, out=comp_ll), total
+    resp = np.subtract(comp_ll, total[:, None], out=comp_ll if out is None else out)
+    return _exp_except(resp, resp < RESP_LOG_FLOOR), total
+
+
+def _e_step(gmm: DiagGmm, data: np.ndarray, sq: np.ndarray, dens: np.ndarray,
+            resp: np.ndarray) -> np.ndarray:
+    """EM's E-step: the component log densities of ``data`` into ``dens``
+    and the responsibilities into ``resp``, N x K buffers that EM
+    allocates once per run; returns the per-frame ln p(x)."""
+    _component_log_densities(gmm, data, sq, out=dens, work=resp)
+    return _responsibilities(dens, out=resp)[1]
 
 
 def _global_var_floor(data: np.ndarray) -> np.ndarray:
@@ -159,9 +205,12 @@ def em_train(init: DiagGmm, data: np.ndarray, iterations: int,
     global_var = np.maximum(data.var(axis=0), var_floor)
     ll_history: list[float] = []
     sq = np.square(data)  # shared by every E- and M-step
+    # two N x K arrays: one 2 x N x K array took the benchmark's peak RSS
+    # 15-25 MB higher
+    dens = np.empty((n, gmm.num_components))
+    resp = np.empty_like(dens)
     for _ in range(iterations):
-        resp, total = _responsibilities(
-            _component_log_densities(gmm, data, sq))  # N x K
+        total = _e_step(gmm, data, sq, dens, resp)
         ll_history.append(float(total.sum()))
         nk = resp.sum(axis=0)
         degenerate = nk < RESP_MASS_FLOOR
@@ -193,19 +242,15 @@ def kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator,
         data = data[rng.choice(n, size=subsample, replace=False)]
         n = subsample
     centers = np.empty((k, data.shape[1]))
-    diff = np.empty_like(data)  # n x D scratch
-
-    def sq_dist(center):  # ((data - center) ** 2).sum(axis=1)
-        np.subtract(data, center, out=diff)
-        return np.square(diff, out=diff).sum(axis=1)
-
-    centers[0] = data[rng.integers(n)]
-    d2 = sq_dist(centers[0])
+    sq_norms = np.square(data).sum(axis=1)  # |x|^2, for the Lloyd passes too
+    first = rng.integers(n)
+    centers[0] = data[first]
+    d2 = _sq_dists(data, sq_norms, first)
     for j in range(1, k):
         probs = d2 / d2.sum() if d2.sum() > 0 else np.full(n, 1.0 / n)
-        centers[j] = data[rng.choice(n, p=probs)]
-        d2 = np.minimum(d2, sq_dist(centers[j]))
-    sq_norms = np.square(data, out=diff).sum(axis=1)
+        pick = rng.choice(n, p=probs)
+        centers[j] = data[pick]
+        d2 = np.minimum(d2, _sq_dists(data, sq_norms, pick))
     assign = None
     for _ in range(LLOYD_ITERATIONS):
         dist = sq_norms[:, None] - data @ (2 * centers).T + (centers ** 2).sum(axis=1)
@@ -227,6 +272,22 @@ def kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator,
             else np.maximum(data.var(axis=0), floor)
     weights /= weights.sum()
     return DiagGmm(weights=weights, means=centers, variances=variances)
+
+
+def _sq_dists(data: np.ndarray, sq_norms: np.ndarray, index: int) -> np.ndarray:
+    """Squared distance of every row of ``data`` to row ``index``, as
+    max(|x|^2 - 2 x.c + |c|^2, 0): one matrix-vector product. Rows equal
+    to that row get exactly 0, as in the subtract form."""
+    center = data[index]
+    d2 = data @ center
+    d2 *= -2.0
+    d2 += sq_norms
+    d2 += sq_norms[index]
+    np.maximum(d2, 0.0, out=d2)
+    # a row equal to the center has its |x|^2 bits, but x.c may round apart
+    same_norm = np.flatnonzero(sq_norms == sq_norms[index])
+    d2[same_norm[(data[same_norm] == center).all(axis=1)]] = 0.0
+    return d2
 
 
 def train_ubm(data: np.ndarray, k: int = 256, iterations: int = 20,
@@ -265,8 +326,11 @@ def adapt_concept(ubm: DiagGmm, concept_data: np.ndarray,
 
 def _adapt_means_only(ubm: DiagGmm, data: np.ndarray, iterations: int) -> DiagGmm:
     model = ubm.copy()
+    sq = np.square(data)
+    dens = np.empty((data.shape[0], model.num_components))
+    resp = np.empty_like(dens)
     for _ in range(iterations):
-        resp, _ = _responsibilities(_component_log_densities(model, data))
+        _e_step(model, data, sq, dens, resp)
         nk = resp.sum(axis=0)
         updated = nk > RESP_MASS_FLOOR
         means = (resp.T @ data) / np.maximum(nk, RESP_MASS_FLOOR)[:, None]

@@ -150,8 +150,8 @@ class TestCli:
         assert "OVERALL" in report
 
         out2 = tmp_path / "eval"
-        rc = main(common + ["--out-dir", str(out2), "evaluate",
-                            "--model", str(out / "system.acsy")])
+        rc = main(common[:2] + ["--out-dir", str(out2), "evaluate",
+                                "--model", str(out / "system.acsy")])
         assert rc == 0
         assert (out2 / "report.csv").read_text() == report
 
@@ -409,6 +409,34 @@ def test_evaluate_rejects_other_concepts(cli_corpus, tmp_path, capsys):
                "evaluate", "--model", str(path)])
     assert rc == 3
     assert "trained on concepts ['a', 'b']" in capsys.readouterr().err
+
+
+class TestEvaluateOverrides:
+    def test_reads_the_split_and_paths(self, cli_corpus, tmp_path):
+        train = tmp_path / "train"
+        assert main(["--set", f"paths.corpus_dir={cli_corpus}"]
+                    + as_sets(TRAINED_SYSTEMS["train-gmm"])
+                    + ["--out-dir", str(train), "train-gmm"]) == 0
+        out = tmp_path / "eval"
+        assert main(["--set", f"paths.corpus_dir={cli_corpus}", "--seed", "0",
+                     "--set", "train_fraction=0.8", "--set", f"paths.out_dir={out}",
+                     "evaluate", "--model", str(train / "system.acsy")]) == 0
+        assert (out / "report.csv").read_bytes() == (train / "report.csv").read_bytes()
+
+    @pytest.mark.parametrize("override", [
+        "nn.hidden_dims=[8]", "gmm.num_components=2", "context.width=5",
+        "pretrain=null", "synth.num_concepts=4"])
+    def test_ignored_key_exits_2_before_anything_is_read(self, override, tmp_path,
+                                                         capsys):
+        # the system file and the corpus are missing, so reading either
+        # would exit 3
+        out = tmp_path / "run"
+        rc = main(["--set", f"paths.corpus_dir={tmp_path / 'missing'}",
+                   "--set", override, "--out-dir", str(out),
+                   "evaluate", "--model", str(tmp_path / "missing.acsy")])
+        assert rc == 2
+        assert override in capsys.readouterr().err
+        assert not out.exists()
 
 
 # each value is rejected when the config loads; the corpus dir is missing,

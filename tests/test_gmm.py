@@ -101,8 +101,50 @@ class TestLogsumexp:
         # the subnormal terms are kept
         assert gmm.logsumexp(rows[1]) > 0.0
 
+    def test_mixed_special_rows_match_scipy(self, rng):
+        k = 32
+        rows = rng.standard_normal((7, k)) * 30.0
+        rows[0, [1, 5]] = -np.inf                            # -inf, +inf and NaN
+        rows[0, 9] = np.inf
+        rows[0, 12] = np.nan
+        rows[1, [1, 5]] = -np.inf                            # -inf and +inf
+        rows[1, [9, 20]] = np.inf
+        rows[2, [1, 5]] = -np.inf                            # -inf and NaN
+        rows[2, 12] = np.nan
+        rows[3, 9] = np.inf                                  # +inf and NaN
+        rows[3, 12] = np.nan
+        rows[4] = -np.inf                                    # all -inf
+        rows[5, [0, 3, 8]] = rows[5].max() + 2.0             # repeated maxima
+        rows[5, [4, 20]] = -np.inf                           # ... and -inf
+        rows[6, [0, 3, 8]] = rows[6].max() + 2.0             # repeated maxima only
+        for row in rows:
+            assert_bitwise_equal(gmm.logsumexp(row), logsumexp(row, axis=-1))
+        assert_bitwise_equal(gmm.logsumexp(rows), logsumexp(rows, axis=-1))
+        a = np.stack([rows, rows[::-1]])
+        assert_bitwise_equal(gmm.logsumexp(a), logsumexp(a, axis=-1))
+
+    def test_subnormal_band_matches_scipy(self, rng):
+        """Terms whose exp is subnormal, from the smallest one (-745.13)
+        up to the smallest normal double (-708.40), with one or two maxima."""
+        k = 64
+        rows = np.empty((4, k))
+        rows[0] = rng.uniform(-745.13, -708.40, k)
+        rows[1, : k // 2] = -745.13
+        rows[1, k // 2:] = -708.40
+        rows[2] = rng.uniform(-745.13, -708.40, k)
+        rows[2, [10, 40]] = -800.0                           # below the band too
+        rows[3] = rng.uniform(-745.13, -708.40, k)
+        rows[:, 7] = 0.0
+        rows[3, 30] = 0.0                                    # a repeated maximum
+        for row in rows:
+            assert_bitwise_equal(gmm.logsumexp(row), logsumexp(row, axis=-1))
+            assert gmm.logsumexp(row) > 0.0  # the subnormal terms are kept
+        assert_bitwise_equal(gmm.logsumexp(rows), logsumexp(rows, axis=-1))
+        shifted = rows + 300.0
+        assert_bitwise_equal(gmm.logsumexp(shifted), logsumexp(shifted, axis=-1))
+
     def test_exp_is_zero_below_the_skip_threshold(self):
-        # what makes setting those arguments to -inf exact
+        # what makes leaving those arguments out of np.exp exact
         grid = np.linspace(gmm.EXP_ZERO_BELOW - 400.0, gmm.EXP_ZERO_BELOW, 200001)
         out = np.exp(grid)
         assert np.all(out == 0.0) and not np.signbit(out).any()
@@ -231,6 +273,30 @@ class TestEm:
             em_train(random_gmm(rng), np.empty((0, 4)), iterations=1)
 
 
+class TestEStep:
+    """The E-step helper against the densities and responsibilities it
+    replaces in EM."""
+
+    @pytest.mark.parametrize("n", [341, 2125])
+    @pytest.mark.parametrize("d, spread", [(42, 3.0), (294, 1.5)])
+    def test_matches_responsibilities_of_the_densities(self, n, d, spread):
+        rng = np.random.default_rng(n + d)
+        model = random_gmm(rng, k=64, d=d)
+        model.means *= spread  # components far enough apart for 0 responsibilities
+        data = model.means[rng.integers(64, size=n)] + rng.standard_normal((n, d))
+        sq = np.square(data)
+        want_dens = gmm._component_log_densities(model, data, sq)
+        want_resp, want_total = gmm._responsibilities(want_dens.copy())
+        # the masks are exercised: dropped, subnormal-free and kept terms
+        assert (want_resp == 0.0).any()
+        assert ((want_resp > 0.0) & (want_resp < 1.0)).any()
+        dens, resp = np.empty((2, n, 64))
+        total = gmm._e_step(model, data, sq, dens, resp)
+        assert_bitwise_equal(dens, want_dens)
+        assert_bitwise_equal(resp, want_resp)
+        assert_bitwise_equal(total, want_total)
+
+
 class TestKmeansInit:
     def test_requires_enough_frames(self, rng):
         with pytest.raises(DataTooSmall):
@@ -246,6 +312,42 @@ class TestKmeansInit:
         model = kmeans_pp_init(two_cluster_data(rng), 4, rng)
         assert model.weights.sum() == pytest.approx(1.0)
         assert np.all(model.variances > 0)
+
+    def test_matches_subtract_form_at_294_dims_subsampled(self):
+        rng = np.random.default_rng(3)
+        centers = rng.standard_normal((6, 294)) * 2.0
+        data = (centers[rng.integers(6, size=3000)]
+                + rng.standard_normal((3000, 294)) * (rng.random(294) + 0.5))
+        for seed in (4, 5):
+            assert_same_gmm(
+                kmeans_pp_init(data, 16, np.random.default_rng(seed), subsample=2000),
+                parent_kmeans_pp_init(data, 16, np.random.default_rng(seed),
+                                      subsample=2000))
+
+    def test_row_equal_to_a_center_has_distance_zero(self):
+        rng = np.random.default_rng(5)
+        # an offset far from the origin: |x|^2 and 2 x.c cancel to a few
+        # ulps of 30 000, so only an explicit zero is exactly 0
+        data = rng.standard_normal((500, 294)) * 3.0 + 10.0
+        data[[17, 230, 411]] = data[99]
+        sq_norms = np.square(data).sum(axis=1)
+        for index in (99, 17, 5, 311, 499):
+            d2 = gmm._sq_dists(data, sq_norms, index)
+            same = (data == data[index]).all(axis=1)
+            assert np.all(d2[same] == 0.0) and not np.signbit(d2).any()
+            assert np.all(d2[~same] > 0.0)
+            np.testing.assert_allclose(d2, ((data - data[index]) ** 2).sum(axis=1),
+                                       rtol=1e-9)
+
+    def test_picks_every_distinct_row_of_repeated_points(self):
+        # a picked point's copies have distance 0, so they are never drawn
+        points = np.random.default_rng(6).standard_normal((8, 70)) * 3.0 + 10.0
+        data = np.repeat(points, 50, axis=0)
+        for seed in range(5):
+            model = kmeans_pp_init(data, 8, np.random.default_rng(seed))
+            # (the Lloyd passes' means of 50 equal rows round by an ulp)
+            np.testing.assert_allclose(sorted(map(tuple, model.means)),
+                                       sorted(map(tuple, points)), rtol=1e-12)
 
 
 class TestUbmAdaptation:
