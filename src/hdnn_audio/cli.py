@@ -13,13 +13,14 @@ any other key.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import os
 import sys
 from pathlib import Path
 
-from . import evaluation, mlp, systems
+from . import evaluation, systems
 from .config import RunConfig, fingerprint, load_config, write_snapshot
 from .data import generate_synthetic_corpus, load_annotations
 from .errors import ConfigError, DataError, HdnnError, TrainingDiverged
@@ -85,12 +86,15 @@ def _train(command: str, cfg: RunConfig, corpus: systems.PreparedCorpus,
             corpus, hidden_dims=cfg.nn.hidden_dims, width=cfg.context.width,
             schedule=cfg.nn.schedule, dct_keep=cfg.context.dct_keep,
             pretrain=cfg.pretrain)
-        mlp.write_history_csv(history, out_dir / "history.csv")
+        evaluation.write_csv(out_dir / "history.csv",
+                             ["epoch", "lr", "train_loss", "cv_accuracy"],
+                             [dataclasses.astuple(record) for record in history])
     else:
         system, _ = systems.train_hdnn_system(
             corpus, cfg.context,
             stage1_hidden=cfg.nn.hidden_dims, stage2_hidden=cfg.stage2.hidden_dims,
-            schedule_first=cfg.nn.schedule, schedule_second=cfg.stage2.schedule,
+            schedule_first=cfg.nn.schedule,
+            schedule_second=dataclasses.replace(cfg.nn.schedule, rng_seed=cfg.seed + 1),
             pretrain=cfg.pretrain, sparse=cfg.sparse)
     system.config_fingerprint = fingerprint(cfg)
     systems.save_system(system, out_dir / SYSTEM_FILE)
@@ -166,9 +170,6 @@ def cmd_sweep_context(cfg: RunConfig, out_dir: Path, widths: list[int]) -> None:
 
 def cmd_grid_arch(cfg: RunConfig, out_dir: Path, depths: list[int],
                   neurons: list[int], pretrain_options: list[bool]) -> None:
-    if True in pretrain_options and cfg.pretrain is None:
-        raise ConfigError("grid-arch --pretrain on needs a pretrain section, "
-                          "but pretrain is null")
     cells = [(depth, width, "RBM" if pre else "RND")
              for depth, width, pre in itertools.product(depths, neurons, pretrain_options)]
     runs = [(f"{depth}x{width}-{pre}", "train-nn", [f"nn.hidden_dims={[width] * depth}"]
@@ -264,6 +265,9 @@ def main(argv=None) -> int:
                 raise ConfigError(f"evaluate reads only {', '.join(EVALUATE_KEYS)} "
                                   f"from the config; it would ignore {ignored}")
         cfg = load_config(args.config, overrides)
+        if args.command == "grid-arch" and True in args.pretrain and cfg.pretrain is None:
+            raise ConfigError("grid-arch --pretrain on needs a pretrain section, "
+                              "but pretrain is null")
         out_dir = Path(cfg.paths.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         write_snapshot(cfg, out_dir)

@@ -44,9 +44,10 @@ _Loader.add_implicit_resolver(
 
 
 @dataclass
-class NetworkSection:
-    hidden_dims: list[int] = field(default_factory=lambda: [2000, 2000, 2000])
-    schedule: TrainSchedule = field(default_factory=TrainSchedule)
+class Stage2Section:
+    """The second stage's layers; it trains on ``nn.schedule``."""
+
+    hidden_dims: list[int] = field(default_factory=lambda: [1000, 1000])
 
     def __post_init__(self):
         if any(d < 1 for d in self.hidden_dims):
@@ -54,8 +55,9 @@ class NetworkSection:
 
 
 @dataclass
-class Stage2Section(NetworkSection):
-    hidden_dims: list[int] = field(default_factory=lambda: [1000, 1000])
+class NetworkSection(Stage2Section):
+    hidden_dims: list[int] = field(default_factory=lambda: [2000, 2000, 2000])
+    schedule: TrainSchedule = field(default_factory=TrainSchedule)
 
 
 @dataclass
@@ -98,7 +100,6 @@ class RunConfig:
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
         self.nn.schedule.rng_seed = self.seed
-        self.stage2.schedule.rng_seed = self.seed + 1
         if self.pretrain is not None:
             self.pretrain.rng_seed = self.seed
         self.synth.rng_seed = self.seed

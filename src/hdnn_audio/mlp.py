@@ -6,15 +6,22 @@ below the stopping threshold)."""
 from __future__ import annotations
 
 import copy
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DimensionMismatch, LabelOutOfRange, NonFiniteGradient)
+from .evaluation import frame_accuracy
 from .features import FeatureSequence
 
 POSTERIOR_CLAMP = 1e-12
+# newbob thresholds on the epoch-over-epoch CV accuracy gain, in
+# percentage points: the rate halves once the gain is at most RAMP and
+# training stops once it is below STOP
+RAMP_IMPROVEMENT_THRESHOLD = 0.5
+STOP_IMPROVEMENT_THRESHOLD = 0.1
+# share of the training frames held out as the CV split
+CV_FRACTION = 0.10
 
 
 @dataclass
@@ -58,22 +65,14 @@ class TrainSchedule:
     """SGD recipe: fixed rate while CV accuracy ramps, then halving."""
 
     initial_lr: float = 0.002
-    ramp_improvement_threshold: float = 0.5   # percentage points
-    stop_improvement_threshold: float = 0.1   # percentage points
     minibatch_frames: int = 1024
-    cv_fraction: float = 0.10
     max_epochs: int = 50
     min_epochs: int = 0
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.stop_improvement_threshold
-                < self.ramp_improvement_threshold):
-            raise ValueError("need 0 < stop threshold < ramp threshold")
-        if not (0.0 < self.cv_fraction < 1.0):
-            raise ValueError("cv_fraction must be in (0, 1)")
-        if self.min_epochs < 0 or self.max_epochs < 0:
-            raise ValueError("epoch counts must be non-negative")
+        if not 0 <= self.min_epochs <= self.max_epochs:
+            raise ValueError("need 0 <= min_epochs <= max_epochs")
         if self.minibatch_frames < 1:
             raise ValueError("minibatch_frames must be positive")
 
@@ -107,8 +106,8 @@ class NewbobSchedule:
         """
         gain = cv_accuracy - self.prev_accuracy
         self.prev_accuracy = cv_accuracy
-        stop = gain < self.schedule.stop_improvement_threshold
-        if self.ramping and gain <= self.schedule.ramp_improvement_threshold:
+        stop = gain < STOP_IMPROVEMENT_THRESHOLD
+        if self.ramping and gain <= RAMP_IMPROVEMENT_THRESHOLD:
             self.ramping = False
         if not self.ramping:
             self.lr /= 2.0
@@ -238,12 +237,12 @@ def train(init_model: MlpModel, train_set: tuple[np.ndarray, np.ndarray],
     rng = np.random.default_rng(schedule.rng_seed)
     n = x.shape[0]
     perm = rng.permutation(n)
-    n_cv = max(1, int(round(schedule.cv_fraction * n)))
+    n_cv = max(1, int(round(CV_FRACTION * n)))
     cv_idx, tr_idx = perm[:n_cv], perm[n_cv:]
     x_cv, y_cv = x[cv_idx], y[cv_idx]
     x_tr, y_tr = x[tr_idx], y[tr_idx]
 
-    baseline = _frame_accuracy_pct(model, x_cv, y_cv)
+    baseline = frame_accuracy(predict_frames(model, x_cv), y_cv)
     newbob = NewbobSchedule(schedule, baseline)
     history: list[EpochRecord] = []
     for epoch in range(1, schedule.max_epochs + 1):
@@ -253,7 +252,7 @@ def train(init_model: MlpModel, train_set: tuple[np.ndarray, np.ndarray],
         for start in range(0, len(order), schedule.minibatch_frames):
             sel = order[start:start + schedule.minibatch_frames]
             losses.append(backprop_step(model, x_tr[sel], y_tr[sel], lr))
-        cv_acc = _frame_accuracy_pct(model, x_cv, y_cv)
+        cv_acc = frame_accuracy(predict_frames(model, x_cv), y_cv)
         history.append(EpochRecord(epoch=epoch, lr=lr,
                                    train_loss=float(np.mean(losses)),
                                    cv_accuracy=cv_acc))
@@ -267,21 +266,9 @@ def train(init_model: MlpModel, train_set: tuple[np.ndarray, np.ndarray],
     return model, history
 
 
-def _frame_accuracy_pct(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
-    _, post = forward(model, x)
-    return float(100.0 * np.mean(post.argmax(axis=1) == y))
-
-
 def predict_frames(model: MlpModel, seq) -> np.ndarray:
     """Per-frame argmax label; ties break to the lowest class index."""
     frames = seq.frames if isinstance(seq, FeatureSequence) else np.atleast_2d(seq)
     _, post = forward(model, frames)
     return post.argmax(axis=1)
 
-
-def write_history_csv(history: list[EpochRecord], path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["epoch", "lr", "train_loss", "cv_accuracy"])
-        for rec in history:
-            writer.writerow([rec.epoch, rec.lr, rec.train_loss, rec.cv_accuracy])

@@ -20,6 +20,10 @@ from .mlp import sigmoid
 # Reconstruction error only tracks progress (it steers nothing), so a
 # subsample of this many rows is enough to watch it each epoch.
 RECON_ERROR_ROWS = 1000
+# CD-1 learning rates of the bottom Gaussian-Bernoulli RBM and of the
+# Bernoulli-Bernoulli RBMs stacked above it
+GB_LR = 0.005
+BB_LR = 0.05
 
 
 class RbmKind(enum.Enum):
@@ -47,16 +51,12 @@ class RbmModel:
 class PretrainConfig:
     """Layer-wise pre-training hyperparameters."""
 
-    gb_lr: float = 0.005
     gb_epochs: int = 10
-    bb_lr: float = 0.05
     bb_epochs: int = 5
     minibatch: int = 1024
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.gb_lr <= 0 or self.bb_lr <= 0:
-            raise ValueError("learning rates must be positive")
         if self.gb_epochs < 0 or self.bb_epochs < 0:
             raise ValueError("epoch counts must be non-negative")
         if self.minibatch < 1:
@@ -154,11 +154,12 @@ def pretrain_stack(hidden_dims: list[int], data: np.ndarray,
     result = []
     for i, h in enumerate(hidden_dims):
         if i == 0:
-            kind, lr, epochs = RbmKind.GAUSSIAN_BERNOULLI, config.gb_lr, config.gb_epochs
+            kind, lr, epochs = RbmKind.GAUSSIAN_BERNOULLI, GB_LR, config.gb_epochs
         else:
-            kind, lr, epochs = RbmKind.BERNOULLI_BERNOULLI, config.bb_lr, config.bb_epochs
+            # the RBM below is trained; its hidden probabilities feed this one
+            layer_input = hidden_probabilities(rbm, layer_input)
+            kind, lr, epochs = RbmKind.BERNOULLI_BERNOULLI, BB_LR, config.bb_epochs
         rbm = init_rbm(kind, layer_input.shape[1], h, rng)
         train_rbm(rbm, layer_input, lr, epochs, config.minibatch, rng)
         result.append((rbm.weights.copy(), rbm.hidden_bias.copy()))
-        layer_input = hidden_probabilities(rbm, layer_input)
     return result

@@ -106,25 +106,28 @@ class System:
 
 
 def pool_frames(clips: list[tuple[FeatureSequence, int]],
-                transform=None) -> tuple[np.ndarray, np.ndarray]:
+                transform) -> tuple[np.ndarray, np.ndarray]:
+    """Every frame of ``transform`` of each clip, as one matrix, with the
+    clips' labels per frame."""
     xs, ys = [], []
     for seq, label in clips:
-        if transform is not None:
-            seq = transform(seq)
+        seq = transform(seq)
         xs.append(seq.frames)
         ys.append(np.full(seq.num_frames, label, dtype=np.int64))
     return np.vstack(xs), np.concatenate(ys)
 
 
 def _fit_input_norm(system: System, corpus: PreparedCorpus
-                    ) -> list[tuple[FeatureSequence, int]]:
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Fit ``system.input_norm`` on the front-end output of the training
-    clips; returns those clips normalized."""
+    clips; returns that output as one matrix, normalized, and its labels."""
     # re-normalize the NN input stream: DCT/stacking changes per-dimension
     # scales and the networks (and GB-RBM) expect unit-variance inputs
-    pre = [(system.features(seq), y) for seq, y in corpus.train]
-    system.input_norm = fit_norm_stats([seq for seq, _ in pre])
-    return [(apply_norm(seq, system.input_norm), y) for seq, y in pre]
+    x, y = pool_frames(corpus.train, system.features)
+    system.input_norm = fit_norm_stats([FeatureSequence(x)])
+    x -= system.input_norm.mean
+    x /= system.input_norm.std
+    return x, y
 
 
 def train_network(x: np.ndarray, y: np.ndarray, hidden_dims: list[int],
@@ -153,7 +156,7 @@ def train_nn_system(corpus: PreparedCorpus, hidden_dims: list[int],
     features. Returns (system, system.classify, history)."""
     system = System(labels=list(corpus.labels), mfcc_norm=corpus.norm,
                     width=width, dct_keep=dct_keep)
-    x, y = pool_frames(_fit_input_norm(system, corpus))
+    x, y = _fit_input_norm(system, corpus)
     system.model, history = train_network(x, y, hidden_dims, len(corpus.labels),
                                           schedule, pretrain)
     return system, system.classify, history
@@ -176,13 +179,13 @@ def train_hdnn_system(corpus: PreparedCorpus, context: ContextConfig,
         sparse = hierarchy.SparseContextConfig()
     system = System(labels=list(corpus.labels), mfcc_norm=corpus.norm,
                     width=context.width, dct_keep=context.dct_keep)
-    clips = _fit_input_norm(system, corpus)
+    x1, y = _fit_input_norm(system, corpus)
     num_classes = len(corpus.labels)
-    x1, y = pool_frames(clips)
     stage1, _ = train_network(x1, y, stage1_hidden, num_classes,
                               schedule_first, pretrain)
-    x2 = np.vstack([hierarchy.second_stage_inputs(stage1, sparse, seq)
-                    for seq, _ in clips])
+    clip_ends = np.cumsum([seq.num_frames for seq, _ in corpus.train])[:-1]
+    x2 = np.vstack([hierarchy.second_stage_inputs(stage1, sparse, FeatureSequence(rows))
+                    for rows in np.split(x1, clip_ends)])
     stage2, _ = train_network(x2, y, stage2_hidden, num_classes, schedule_second)
     system.model = hierarchy.CascadeModel(first_stage=stage1, sparse=sparse,
                                           second_stage=stage2)

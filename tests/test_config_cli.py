@@ -201,8 +201,7 @@ NN_SETTINGS = ["nn.hidden_dims=[8]", "nn.schedule.max_epochs=2",
 TRAINED_SYSTEMS = {
     "train-nn": NN_SETTINGS,
     "train-hdnn": NN_SETTINGS + [
-        "stage2.hidden_dims=[6]", "stage2.schedule.max_epochs=2",
-        "stage2.schedule.minibatch_frames=64", "sparse.offsets=[-2, 0, 2]"],
+        "stage2.hidden_dims=[6]", "sparse.offsets=[-2, 0, 2]"],
     "train-gmm": ["gmm.feature_mode=stacked", "gmm.stacked_width=3",
                   "gmm.num_components=2", "gmm.iterations=3"],
 }
@@ -444,10 +443,20 @@ class TestEvaluateOverrides:
 BAD_VALUES = [
     "context.width=8", "nn.hidden_dims=64", "nn.schedule.initial_lr=abc",
     "context.dct_keep_per_band=99", "gmm.feature_mode=bogus", "seed=abc",
-    "pretrain.gb_lr=-1", "synth.num_concepts=1", "features.frame_shift_ms=20",
+    "pretrain.gb_epochs=-1", "synth.num_concepts=1", "features.frame_shift_ms=20",
     "nn.schedule.rng_seed=5", "sparse.offsets=[1,2]", "seed=true",
     "nn.hidden_dims=[0]", "nn.schedule.minibatch_frames=0",
     "pretrain.minibatch=0", "gmm.num_components=0", "train_fraction=1.5",
+    "nn.schedule.min_epochs=51",  # above the default max_epochs of 50
+]
+# recipe values that are module constants (mlp.CV_FRACTION, rbm.GB_LR, ...)
+# and stage 2's schedule, which is nn.schedule: each is an unknown key
+REMOVED_KEYS = [
+    "nn.schedule.ramp_improvement_threshold", "nn.schedule.stop_improvement_threshold",
+    "nn.schedule.cv_fraction", "pretrain.gb_lr", "pretrain.bb_lr",
+    *(f"stage2.schedule.{name}" for name in (
+        "initial_lr", "ramp_improvement_threshold", "stop_improvement_threshold",
+        "minibatch_frames", "cv_fraction", "max_epochs", "min_epochs")),
 ]
 
 
@@ -461,6 +470,18 @@ class TestValidation:
                    "--set", override, "--out-dir", str(tmp_path / "run"),
                    command])
         assert rc == 2
+
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    def test_removed_key_exits_2_naming_it(self, key, tmp_path, capsys):
+        rc = main(["--set", f"paths.corpus_dir={tmp_path / 'missing'}",
+                   "--set", f"{key}=1", "--out-dir", str(tmp_path / "run"),
+                   "train-hdnn"])
+        assert rc == 2
+        section, name = key.rsplit(".", 1)
+        if section == "stage2.schedule":
+            section, name = "stage2", "schedule"
+        assert f"config.{section}: unknown key(s) ['{name}']" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_unused_geometry_not_checked(self):
         cfg = load_config(None, ["context.width=5", "context.dct_enabled=false",
@@ -489,9 +510,27 @@ class TestValidation:
         rc = main(["--seed", "7", "--out-dir", str(tmp_path), "synth-data"])
         assert rc == 0
         (cfg,) = seen
-        assert (cfg.nn.schedule.rng_seed, cfg.stage2.schedule.rng_seed,
-                cfg.pretrain.rng_seed, cfg.synth.rng_seed) == (7, 8, 7, 7)
+        assert (cfg.nn.schedule.rng_seed, cfg.pretrain.rng_seed,
+                cfg.synth.rng_seed) == (7, 7, 7)
         assert "rng_seed" not in (tmp_path / "config.yaml").read_text()
+
+        # train-hdnn trains stage 2 on nn.schedule, seeded seed + 1
+        class Trained(Exception):
+            pass
+
+        def train_hdnn_system(corpus, context, **kwargs):
+            seen.append(kwargs)
+            raise Trained
+
+        monkeypatch.setattr(cli, "_prepare", lambda cfg: None)
+        monkeypatch.setattr(systems, "train_hdnn_system", train_hdnn_system)
+        with pytest.raises(Trained):
+            main(["--seed", "7", "--set", "nn.schedule.max_epochs=3",
+                  "--out-dir", str(tmp_path / "hdnn"), "train-hdnn"])
+        first, second = seen[-1]["schedule_first"], seen[-1]["schedule_second"]
+        assert (first.rng_seed, second.rng_seed) == (7, 8)
+        assert dataclasses.replace(second, rng_seed=7) == first
+        assert second.max_epochs == 3
 
     def test_fingerprint_ignores_paths(self):
         base = fingerprint(load_config())
@@ -536,6 +575,7 @@ class TestListArguments:
                    "grid-arch", "--depths", "1", "--neurons", "8",
                    "--pretrain", "on"])
         assert rc == 2
+        assert not (tmp_path / "run").exists()
 
 
 # every training command's small settings at once; compare's fixed

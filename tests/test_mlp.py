@@ -276,14 +276,14 @@ class TestNewbob:
         nb.update(50.0)
         assert nb.update(49.0)
 
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            TrainSchedule(ramp_improvement_threshold=0.1,
-                          stop_improvement_threshold=0.5)
-        with pytest.raises(ValueError):
-            TrainSchedule(cv_fraction=1.5)
+    def test_schedule_validation(self):
         with pytest.raises(ValueError):
             TrainSchedule(min_epochs=-1)
+        with pytest.raises(ValueError):
+            TrainSchedule(min_epochs=31, max_epochs=30)
+        with pytest.raises(ValueError):
+            TrainSchedule(minibatch_frames=0)
+        TrainSchedule(min_epochs=30, max_epochs=30)
 
 
 class TestTrain:

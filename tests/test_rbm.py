@@ -131,6 +131,8 @@ class TestPretrainStack:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            PretrainConfig(gb_lr=0.0)
+            PretrainConfig(gb_epochs=-1)
         with pytest.raises(ValueError):
             PretrainConfig(bb_epochs=-1)
+        with pytest.raises(ValueError):
+            PretrainConfig(minibatch=0)
