@@ -5,7 +5,8 @@ evaluate, sweep-context, grid-arch. Every run writes its resolved config
 snapshot and fingerprint into the output directory. compare, sweep-context
 and grid-arch train each system as its train-* command does, into its own
 directory with its own snapshot, which evaluate can score: <out>/<system>/,
-<out>/width-<W>/ and <out>/<D>x<N>-RBM|RND/ (pretrained or random init).
+<out>/width-<W>/ and <out>/<D>x<N>-RBM|RND/ (pretrained or random init);
+compare's hdnn stacks its second stage on the network dnn has just trained.
 evaluate reads only EVALUATE_KEYS from its config and rejects a --set of
 any other key.
 """
@@ -72,10 +73,13 @@ def _write_report(out_dir: Path, system: systems.System,
 
 
 def _train(command: str, cfg: RunConfig, corpus: systems.PreparedCorpus,
-           out_dir: Path) -> evaluation.EvalReport:
+           out_dir: Path, first: systems.System | None = None
+           ) -> tuple[systems.System, evaluation.EvalReport]:
     """Train the system a ``train-*`` command names and write its system
-    file, history (networks) and report files to ``out_dir``. Prints
-    nothing: a closed stdout must not cost a run its files."""
+    file, history (networks) and report files to ``out_dir``; train-hdnn
+    stacks on ``first`` (a train-nn system) if it has ``cfg``'s fingerprint.
+    Prints nothing: a closed stdout must not cost a run its files."""
+    schedule_second = dataclasses.replace(cfg.nn.schedule, rng_seed=cfg.seed + 1)
     if command == "train-gmm":
         system, _ = systems.train_gmm_system(
             corpus, num_components=cfg.gmm.num_components,
@@ -89,16 +93,18 @@ def _train(command: str, cfg: RunConfig, corpus: systems.PreparedCorpus,
         evaluation.write_csv(out_dir / "history.csv",
                              ["epoch", "lr", "train_loss", "cv_accuracy"],
                              [dataclasses.astuple(record) for record in history])
+    elif first is not None and first.config_fingerprint == fingerprint(cfg):
+        system = systems.add_second_stage(first, corpus, cfg.stage2.hidden_dims,
+                                          schedule_second, cfg.sparse)
     else:
         system, _ = systems.train_hdnn_system(
             corpus, cfg.context,
             stage1_hidden=cfg.nn.hidden_dims, stage2_hidden=cfg.stage2.hidden_dims,
-            schedule_first=cfg.nn.schedule,
-            schedule_second=dataclasses.replace(cfg.nn.schedule, rng_seed=cfg.seed + 1),
+            schedule_first=cfg.nn.schedule, schedule_second=schedule_second,
             pretrain=cfg.pretrain, sparse=cfg.sparse)
     system.config_fingerprint = fingerprint(cfg)
     systems.save_system(system, out_dir / SYSTEM_FILE)
-    return _write_report(out_dir, system, corpus)
+    return system, _write_report(out_dir, system, corpus)
 
 
 def cmd_synth_data(cfg: RunConfig, out_dir: Path) -> None:
@@ -115,11 +121,15 @@ def _run_systems(cfg: RunConfig, out_dir: Path,
     configs = [load_config(out_dir / "config.yaml", settings + [
                    f"paths.out_dir={json.dumps(str(out_dir / name))}"])
                for name, _, settings in runs]
+    commands = [command for _, command, _ in runs]
     corpus = _prepare(cfg)
-    fa = []
-    for (name, command, _), system_cfg in zip(runs, configs):
+    fa, first = [], None
+    for i, ((name, command, _), system_cfg) in enumerate(zip(runs, configs)):
         write_snapshot(system_cfg, out_dir / name)
-        fa.append(_train(command, system_cfg, corpus, out_dir / name).overall_fa)
+        first, report = _train(command, system_cfg, corpus, out_dir / name, first)
+        fa.append(report.overall_fa)
+        if commands[i:i + 2] != ["train-nn", "train-hdnn"]:
+            first = None  # kept only for a train-hdnn run to stack on
     return fa
 
 
@@ -274,7 +284,7 @@ def main(argv=None) -> int:
         if args.command == "synth-data":
             cmd_synth_data(cfg, out_dir)
         elif args.command in TRAIN_COMMANDS:
-            report = _train(args.command, cfg, _prepare(cfg), out_dir)
+            _, report = _train(args.command, cfg, _prepare(cfg), out_dir)
             print(evaluation.format_report(report))
         elif args.command == "compare":
             cmd_compare(cfg, out_dir)

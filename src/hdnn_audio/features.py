@@ -185,15 +185,19 @@ def mfcc_sequence(clip: AudioClip) -> FeatureSequence:
     return FeatureSequence(np.hstack([ceps, log_e[:, None]]))
 
 
+def clamped_rows(frames: np.ndarray, offsets) -> np.ndarray:
+    """T x len(offsets) x D: rows t + offset of the T x D ``frames``, clamped
+    to the clip's first and last frame; every context window's edge rule."""
+    t = frames.shape[0]
+    # np.minimum / np.maximum: np.clip costs more on these small index arrays
+    idx = np.minimum(np.maximum(np.arange(t)[:, None] + np.asarray(offsets), 0), t - 1)
+    return frames[idx]
+
+
 def _delta(frames: np.ndarray) -> np.ndarray:
     # +/-2 frame linear regression with replicated boundaries:
     # d_t = (1*(x[t+1]-x[t-1]) + 2*(x[t+2]-x[t-2])) / 10
-    t = frames.shape[0]
-    idx = np.arange(t)
-    p1 = frames[np.minimum(idx + 1, t - 1)]
-    p2 = frames[np.minimum(idx + 2, t - 1)]
-    m1 = frames[np.maximum(idx - 1, 0)]
-    m2 = frames[np.maximum(idx - 2, 0)]
+    m2, m1, p1, p2 = clamped_rows(frames, (-2, -1, 1, 2)).transpose(1, 0, 2)
     return ((p1 - m1) + 2.0 * (p2 - m2)) / 10.0
 
 
@@ -204,16 +208,12 @@ def append_deltas(seq: FeatureSequence) -> FeatureSequence:
     return FeatureSequence(np.hstack([seq.frames, d, dd]))
 
 
-def fit_norm_stats(seqs: list[FeatureSequence]) -> NormStats:
-    """Pooled per-dimension mean/std over all frames of all sequences."""
-    if not seqs:
-        raise EmptyInput("no sequences to fit normalization statistics on")
-    pooled = np.vstack([s.frames for s in seqs])
-    if pooled.shape[0] == 0:
+def fit_norm_stats(frames: np.ndarray) -> NormStats:
+    """Per-dimension mean/std over the rows of a T x D frame matrix."""
+    if frames.shape[0] == 0:
         raise EmptyInput("no frames to fit normalization statistics on")
-    mean = pooled.mean(axis=0)
-    std = np.maximum(pooled.std(axis=0), STD_FLOOR)
-    return NormStats(mean=mean, std=std)
+    return NormStats(mean=frames.mean(axis=0),
+                     std=np.maximum(frames.std(axis=0), STD_FLOOR))
 
 
 def apply_norm(seq: FeatureSequence, stats: NormStats) -> FeatureSequence:
@@ -231,10 +231,8 @@ def stack_context(seq: FeatureSequence, width: int) -> FeatureSequence:
     """
     if width < 1 or width % 2 == 0:
         raise ValueError(f"context width must be odd and positive, got {width}")
-    t = seq.num_frames
-    half = (width - 1) // 2
-    idx = np.clip(np.arange(t)[:, None] + np.arange(-half, half + 1)[None, :], 0, t - 1)
-    return FeatureSequence(seq.frames[idx].reshape(t, width * seq.dim))
+    rows = clamped_rows(seq.frames, np.arange(width) - width // 2)
+    return FeatureSequence(rows.reshape(seq.num_frames, width * seq.dim))
 
 
 def temporal_dct_reduce(stacked: FeatureSequence, width: int,

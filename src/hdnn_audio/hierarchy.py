@@ -1,7 +1,7 @@
 """Two-stage posterior cascade: first-stage network produces a
 posteriorgram, sparse temporal offsets sample it, and a second network
 classifies the sampled long-term context. The cascade is trained by
-``systems.train_hdnn_system``."""
+``systems.add_second_stage`` on a trained network system."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import numpy as np
 
 from . import mlp
 from .errors import DimensionMismatch
-from .features import FeatureSequence
+from .features import FeatureSequence, clamped_rows
 
 DEFAULT_OFFSETS = (-10, -5, 0, 5, 10)
 
@@ -24,6 +24,8 @@ class SparseContextConfig:
 
     def __post_init__(self):
         self.offsets = tuple(self.offsets)
+        if not all(type(o) is int for o in self.offsets):  # bool is not an int here
+            raise ValueError(f"offsets must be integers, got {list(self.offsets)}")
         if any(a >= b for a, b in zip(self.offsets, self.offsets[1:])):
             raise ValueError("offsets must be strictly increasing")
         if 0 not in self.offsets:
@@ -53,10 +55,8 @@ def posteriorgram(first_stage: mlp.MlpModel, seq: FeatureSequence) -> FeatureSeq
 def sparse_stack(post: np.ndarray, config: SparseContextConfig) -> np.ndarray:
     """Concatenate posterior rows at each configured offset, clamped to
     the clip boundaries. Output is T x (|offsets| * C)."""
-    post = np.atleast_2d(np.asarray(post, dtype=np.float64))
-    t = post.shape[0]
-    idx = np.clip(np.arange(t)[:, None] + np.asarray(config.offsets)[None, :], 0, t - 1)
-    return post[idx].reshape(t, len(config.offsets) * post.shape[1])
+    return clamped_rows(post, config.offsets).reshape(
+        post.shape[0], len(config.offsets) * post.shape[1])
 
 
 def second_stage_inputs(cascade_first: mlp.MlpModel, config: SparseContextConfig,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +56,7 @@ def prepare_corpus(segments: list[AnnotatedSegment], audio_root,
     train_raw = extract(train_segs) if norm is None else []
     test_raw = extract(test_segs)
     if norm is None:
-        norm = fit_norm_stats([seq for seq, _ in train_raw])
+        norm = fit_norm_stats(np.vstack([seq.frames for seq, _ in train_raw]))
     return PreparedCorpus(
         labels=labels,
         train=[(apply_norm(seq, norm), y) for seq, y in train_raw],
@@ -117,19 +117,6 @@ def pool_frames(clips: list[tuple[FeatureSequence, int]],
     return np.vstack(xs), np.concatenate(ys)
 
 
-def _fit_input_norm(system: System, corpus: PreparedCorpus
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Fit ``system.input_norm`` on the front-end output of the training
-    clips; returns that output as one matrix, normalized, and its labels."""
-    # re-normalize the NN input stream: DCT/stacking changes per-dimension
-    # scales and the networks (and GB-RBM) expect unit-variance inputs
-    x, y = pool_frames(corpus.train, system.features)
-    system.input_norm = fit_norm_stats([FeatureSequence(x)])
-    x -= system.input_norm.mean
-    x /= system.input_norm.std
-    return x, y
-
-
 def train_network(x: np.ndarray, y: np.ndarray, hidden_dims: list[int],
                   num_classes: int, schedule: mlp.TrainSchedule,
                   pretrain: rbm.PretrainConfig | None = None
@@ -156,10 +143,29 @@ def train_nn_system(corpus: PreparedCorpus, hidden_dims: list[int],
     features. Returns (system, system.classify, history)."""
     system = System(labels=list(corpus.labels), mfcc_norm=corpus.norm,
                     width=width, dct_keep=dct_keep)
-    x, y = _fit_input_norm(system, corpus)
+    # re-normalize the NN input stream: DCT/stacking changes per-dimension
+    # scales and the networks (and GB-RBM) expect unit-variance inputs
+    x, y = pool_frames(corpus.train, system.features)
+    system.input_norm = fit_norm_stats(x)
+    x -= system.input_norm.mean
+    x /= system.input_norm.std
     system.model, history = train_network(x, y, hidden_dims, len(corpus.labels),
                                           schedule, pretrain)
     return system, system.classify, history
+
+
+def add_second_stage(first: System, corpus: PreparedCorpus, hidden_dims: list[int],
+                     schedule: mlp.TrainSchedule,
+                     sparse: hierarchy.SparseContextConfig) -> System:
+    """A new system: ``first``'s trained network, frozen, under a second
+    stage trained from random init on its sparse-stacked posteriors over
+    the training clips, computed clip by clip as ``classify`` computes
+    them. ``first`` is left as it was."""
+    x, y = pool_frames(corpus.train, lambda seq: FeatureSequence(
+        hierarchy.second_stage_inputs(first.model, sparse, first.features(seq))))
+    second, _ = train_network(x, y, hidden_dims, len(corpus.labels), schedule)
+    return replace(first, model=hierarchy.CascadeModel(
+        first_stage=first.model, sparse=sparse, second_stage=second))
 
 
 def train_hdnn_system(corpus: PreparedCorpus, context: ContextConfig,
@@ -168,27 +174,12 @@ def train_hdnn_system(corpus: PreparedCorpus, context: ContextConfig,
                       schedule_second: mlp.TrainSchedule,
                       pretrain: rbm.PretrainConfig | None = None,
                       sparse: hierarchy.SparseContextConfig | None = None):
-    """Train the two-stage cascade on DCT-reduced context features.
-
-    Stage 1 is (optionally RBM pre-trained and) fine-tuned on the pooled
-    frames; it is then frozen, its sparse-stacked posteriors over the
-    same clips become stage 2's inputs (per-frame labels unchanged), and
-    stage 2 is trained from random init. Returns (system, system.classify).
-    """
-    if sparse is None:
-        sparse = hierarchy.SparseContextConfig()
-    system = System(labels=list(corpus.labels), mfcc_norm=corpus.norm,
-                    width=context.width, dct_keep=context.dct_keep)
-    x1, y = _fit_input_norm(system, corpus)
-    num_classes = len(corpus.labels)
-    stage1, _ = train_network(x1, y, stage1_hidden, num_classes,
-                              schedule_first, pretrain)
-    clip_ends = np.cumsum([seq.num_frames for seq, _ in corpus.train])[:-1]
-    x2 = np.vstack([hierarchy.second_stage_inputs(stage1, sparse, FeatureSequence(rows))
-                    for rows in np.split(x1, clip_ends)])
-    stage2, _ = train_network(x2, y, stage2_hidden, num_classes, schedule_second)
-    system.model = hierarchy.CascadeModel(first_stage=stage1, sparse=sparse,
-                                          second_stage=stage2)
+    """The H-DNN: ``add_second_stage`` on the network ``train_nn_system``
+    trains on ``context``'s features. Returns (system, system.classify)."""
+    first, _, _ = train_nn_system(corpus, stage1_hidden, context.width,
+                                  schedule_first, context.dct_keep, pretrain)
+    system = add_second_stage(first, corpus, stage2_hidden, schedule_second,
+                              sparse or hierarchy.SparseContextConfig())
     return system, system.classify
 
 

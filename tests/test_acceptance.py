@@ -13,9 +13,8 @@ from scipy.stats import norm
 from hdnn_audio import evaluation, gmm, hierarchy, mlp, rbm, systems
 from hdnn_audio.data import (SynthConfig, concept_families,
                              generate_synthetic_corpus, load_annotations)
-from hdnn_audio.features import (ContextConfig, FeatureSequence,
-                                 invert_temporal_dct, stack_context,
-                                 temporal_dct_reduce)
+from hdnn_audio.features import (FeatureSequence, invert_temporal_dct,
+                                 stack_context, temporal_dct_reduce)
 
 SEED = 0
 GMM_COMPONENTS = 64
@@ -74,22 +73,25 @@ def gmm_reports(corpus):
 
 
 @pytest.fixture(scope="module")
-def dnn_report(corpus):
-    _, classifier, _ = systems.train_nn_system(
+def dnn_system(corpus):
+    system, _, _ = systems.train_nn_system(
         corpus, hidden_dims=[256, 256, 256], width=49,
         schedule=desk_schedule(), dct_keep=33, pretrain=desk_pretrain())
-    return evaluation.evaluate(classifier, corpus.test, corpus.labels)
+    return system
 
 
 @pytest.fixture(scope="module")
-def hdnn_report(corpus):
-    context = ContextConfig(width=49, dct_enabled=True, dct_keep_per_band=33)
-    _, classifier = systems.train_hdnn_system(
-        corpus, context, stage1_hidden=[256, 256, 256],
-        stage2_hidden=[128, 128], schedule_first=desk_schedule(),
-        schedule_second=desk_schedule(SEED + 1), pretrain=desk_pretrain(),
-        sparse=hierarchy.SparseContextConfig())
-    return evaluation.evaluate(classifier, corpus.test, corpus.labels)
+def dnn_report(dnn_system, corpus):
+    return evaluation.evaluate(dnn_system.classify, corpus.test, corpus.labels)
+
+
+@pytest.fixture(scope="module")
+def hdnn_report(dnn_system, corpus):
+    """The H-DNN as train_hdnn_system builds it: a second stage on the DNN."""
+    system = systems.add_second_stage(dnn_system, corpus, [128, 128],
+                                      desk_schedule(SEED + 1),
+                                      hierarchy.SparseContextConfig())
+    return evaluation.evaluate(system.classify, corpus.test, corpus.labels)
 
 
 class TestCriterion1GradientCorrectness:

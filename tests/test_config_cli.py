@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from hdnn_audio import cli, evaluation, gmm, mlp, systems
+from hdnn_audio import cli, evaluation, gmm, hierarchy, mlp, systems
 from hdnn_audio.cli import main
 from hdnn_audio.data import load_annotations, split_dataset
 from hdnn_audio.config import (RunConfig, config_to_dict, fingerprint,
@@ -377,19 +377,38 @@ def write_small_system(path, **changes):
         model=mlp.init_random([42, 4, 2], np.random.default_rng(0))), **changes), path)
 
 
-@pytest.mark.parametrize("case", list(CORRUPTIONS))
+def write_small_cascade(path):
+    """write_small_system's system with a second stage on its network."""
+    rng = np.random.default_rng(0)
+    write_small_system(path, model=hierarchy.CascadeModel(
+        first_stage=mlp.init_random([42, 4, 2], rng),
+        sparse=hierarchy.SparseContextConfig(offsets=(-1, 0, 1)),
+        second_stage=mlp.init_random([3 * 2, 4, 2], rng)))
+
+
+# header corruptions of a cascade file; each keeps three increasing
+# offsets around 0, so only the offsets' type is wrong
+CASCADE_CORRUPTIONS = {
+    "offsets_not_int": _edit_header(offsets=[-1.5, 0, 1.5]),
+    "offsets_bool": _edit_header(offsets=[-1, False, 1]),
+}
+
+
+@pytest.mark.parametrize("case", list(CORRUPTIONS) + list(CASCADE_CORRUPTIONS))
 def test_corrupt_system_file_exits_3_before_corpus(case, tmp_path, capsys):
     path = tmp_path / "system.acsy"
-    write_small_system(path)
+    cascade = case in CASCADE_CORRUPTIONS
+    corruption = CASCADE_CORRUPTIONS[case] if cascade else CORRUPTIONS[case]
+    (write_small_cascade if cascade else write_small_system)(path)
     systems.load_system(path)
-    if CORRUPTIONS[case] is None:
+    if corruption is None:
         path.unlink()
-    elif isinstance(CORRUPTIONS[case], dict):
-        write_small_system(path, **CORRUPTIONS[case])
+    elif isinstance(corruption, dict):
+        write_small_system(path, **corruption)
     else:
         blob = path.read_bytes()
         arrays_at = 12 + int.from_bytes(blob[8:12], "little")
-        path.write_bytes(CORRUPTIONS[case](blob, arrays_at))
+        path.write_bytes(corruption(blob, arrays_at))
     # the corpus dir is missing: a file checked only after the corpus was
     # read would fail on the corpus and not name the system file
     rc = main(["--set", f"paths.corpus_dir={tmp_path / 'missing'}",
@@ -647,6 +666,32 @@ class TestCompare:
         text = (compare_run / "compare.txt").read_text()
         assert f"over best GMM ({best_gmm})" in text
         assert all(name in text for name in names)
+
+    def test_trains_each_network_once(self, cli_corpus, tmp_path, monkeypatch):
+        trained = []
+        train_network = systems.train_network
+
+        def counted(x, y, hidden_dims, *args, **kwargs):
+            trained.append(hidden_dims)
+            return train_network(x, y, hidden_dims, *args, **kwargs)
+
+        monkeypatch.setattr(systems, "train_network", counted)
+        assert main(["--set", f"paths.corpus_dir={cli_corpus}"]
+                    + as_sets(COMPARE_SETTINGS) + ["--out-dir", str(tmp_path), "compare"]) == 0
+        # nn-x9, dnn, and hdnn's second stage on dnn's network
+        snapshot = {name: load_config(tmp_path / name / "config.yaml")
+                    for name in ("nn-x9", "dnn", "hdnn")}
+        assert trained == [snapshot["nn-x9"].nn.hidden_dims, snapshot["dnn"].nn.hidden_dims,
+                           snapshot["hdnn"].stage2.hidden_dims]
+
+    def test_hdnn_stacks_only_on_its_own_config(self, cli_corpus, tmp_path):
+        cfg = load_config(None, [f"paths.corpus_dir={cli_corpus}"]
+                          + TRAINED_SYSTEMS["train-hdnn"])
+        write_snapshot(cfg, tmp_path / "run")
+        cli._run_systems(cfg, tmp_path / "run", [
+            ("nn", "train-nn", ["nn.hidden_dims=[5]"]), ("hdnn", "train-hdnn", [])])
+        assert_trained_as(tmp_path / "run" / "hdnn", "train-hdnn",
+                          TRAINED_SYSTEMS["train-hdnn"], cli_corpus, tmp_path / "alone")
 
     def test_closed_stdout_exits_0_with_every_file(self, cli_corpus, tmp_path,
                                                    monkeypatch):

@@ -137,25 +137,25 @@ class TestNormalization:
     def test_fit_apply_round_trip(self, rng):
         seqs = [FeatureSequence(frames=rng.normal(5.0, 3.0, size=(50, 4)))
                 for _ in range(3)]
-        stats = fit_norm_stats(seqs)
+        stats = fit_norm_stats(np.vstack([s.frames for s in seqs]))
         pooled = np.vstack([apply_norm(s, stats).frames for s in seqs])
         np.testing.assert_allclose(pooled.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(pooled.std(axis=0), 1.0, atol=1e-10)
 
     def test_constant_dim_uses_std_floor(self):
         seq = FeatureSequence(frames=np.full((10, 2), 7.0))
-        stats = fit_norm_stats([seq])
+        stats = fit_norm_stats(seq.frames)
         assert np.all(stats.std == features.STD_FLOOR)
         out = apply_norm(seq, stats)
         assert np.all(np.isfinite(out.frames))
 
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
-            fit_norm_stats([])
+            fit_norm_stats(np.empty((0, 4)))
 
     def test_dim_mismatch_raises(self, small_seq, rng):
         other = FeatureSequence(frames=rng.standard_normal((5, 3)))
-        stats = fit_norm_stats([other])
+        stats = fit_norm_stats(other.frames)
         with pytest.raises(DimensionMismatch):
             apply_norm(small_seq, stats)
 

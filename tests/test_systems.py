@@ -103,6 +103,25 @@ class TestSystemFile:
         assert trained["gmm_stacked"][0].model.ubm.dim == 14 * 3
 
 
+class TestAddSecondStage:
+    def test_first_system_is_left_as_it_was(self, trained, corpus, tmp_path):
+        first = trained["nn"][0]
+        systems.save_system(first, tmp_path / "before.acsy")
+        labels = [first.classify(seq) for seq, _ in corpus.test]
+
+        system = systems.add_second_stage(
+            first, corpus, [6], schedule(1),
+            hierarchy.SparseContextConfig(offsets=(-2, 0, 2)))
+
+        assert system.model.first_stage is first.model
+        assert isinstance(first.model, mlp.MlpModel)
+        systems.save_system(first, tmp_path / "after.acsy")
+        assert ((tmp_path / "after.acsy").read_bytes()
+                == (tmp_path / "before.acsy").read_bytes())
+        for (seq, _), before in zip(corpus.test, labels, strict=True):
+            assert np.array_equal(first.classify(seq), before)
+
+
 class TestBenchmarkContract:
     """The benchmark uses element 1 of a builder's result as the
     classifier and feeds it normalized MFCC sequences."""
