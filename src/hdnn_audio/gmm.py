@@ -59,6 +59,7 @@ VAR_FLOOR_FRACTION = 1e-3
 DEFAULT_LL_GAIN_STOP = 1e-4  # per-frame log-likelihood gain
 LLOYD_ITERATIONS = 10  # after k-means++ seeding
 SCORE_ROW_BLOCK = 1024  # frames scored at once against the stacked bank
+SQ_NORM_ROW_BLOCK = 1024  # rows squared at once for k-means++ |x|^2
 # np.exp returns +0.0 for every argument below -745.1332
 EXP_ZERO_BELOW = -746.0
 # ln of the smallest normal double: exp of anything below is subnormal or 0
@@ -154,7 +155,10 @@ def log_likelihoods(gmm: DiagGmm, data: np.ndarray) -> np.ndarray:
 def _exp_except(a: np.ndarray, skip: np.ndarray) -> np.ndarray:
     """exp(a) in place, with +0.0 where ``skip``: the skipped entries go
     into ``np.exp`` as 0.0, and its results are multiplied by ``~skip``
-    (x * 1 is x, 1 * 0 is +0.0; see the module docstring)."""
+    (x * 1 is x, 1 * 0 is +0.0; see the module docstring). With nothing
+    to skip that is ``np.exp`` alone, so the mask passes are left out."""
+    if not skip.any():
+        return np.exp(a, out=a)
     np.putmask(a, skip, 0.0)
     np.exp(a, out=a)
     a *= ~skip
@@ -180,8 +184,9 @@ def _e_step(gmm: DiagGmm, data: np.ndarray, sq: np.ndarray, dens: np.ndarray,
     return _responsibilities(dens, out=resp)[1]
 
 
-def _global_var_floor(data: np.ndarray) -> np.ndarray:
-    return np.maximum(VAR_FLOOR_FRACTION * data.var(axis=0), 1e-12)
+def _global_var_floor(data_var: np.ndarray) -> np.ndarray:
+    """Variance floor from the data's per-dimension variance."""
+    return np.maximum(VAR_FLOOR_FRACTION * data_var, 1e-12)
 
 
 def em_train(init: DiagGmm, data: np.ndarray, iterations: int,
@@ -199,10 +204,11 @@ def em_train(init: DiagGmm, data: np.ndarray, iterations: int,
     if n == 0:
         raise EmptyInput("no frames for EM")
     gmm = init.copy()
+    data_var = data.var(axis=0)
     if var_floor is None:
-        var_floor = _global_var_floor(data)
+        var_floor = _global_var_floor(data_var)
     global_mean = data.mean(axis=0)
-    global_var = np.maximum(data.var(axis=0), var_floor)
+    global_var = np.maximum(data_var, var_floor)
     ll_history: list[float] = []
     sq = np.square(data)  # shared by every E- and M-step
     # two N x K arrays: one 2 x N x K array took the benchmark's peak RSS
@@ -242,7 +248,12 @@ def kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator,
         data = data[rng.choice(n, size=subsample, replace=False)]
         n = subsample
     centers = np.empty((k, data.shape[1]))
-    sq_norms = np.square(data).sum(axis=1)  # |x|^2, for the Lloyd passes too
+    # |x|^2, for the Lloyd passes too, a block of rows at a time: each row's
+    # sum is its own, and no n x D square is held
+    sq_norms = np.empty(n)
+    for start in range(0, n, SQ_NORM_ROW_BLOCK):
+        stop = start + SQ_NORM_ROW_BLOCK
+        np.square(data[start:stop]).sum(axis=1, out=sq_norms[start:stop])
     first = rng.integers(n)
     centers[0] = data[first]
     d2 = _sq_dists(data, sq_norms, first)
@@ -262,14 +273,15 @@ def kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator,
             members = data[assign == j]
             if len(members):
                 centers[j] = members.mean(axis=0)
-    floor = _global_var_floor(data)
+    data_var = data.var(axis=0)
+    floor = _global_var_floor(data_var)
     weights = np.empty(k)
     variances = np.empty_like(centers)
     for j in range(k):
         members = data[assign == j]
         weights[j] = max(len(members), 1)
         variances[j] = np.maximum(members.var(axis=0), floor) if len(members) \
-            else np.maximum(data.var(axis=0), floor)
+            else np.maximum(data_var, floor)
     weights /= weights.sum()
     return DiagGmm(weights=weights, means=centers, variances=variances)
 

@@ -240,18 +240,19 @@ def train(init_model: MlpModel, train_set: tuple[np.ndarray, np.ndarray],
     n_cv = max(1, int(round(CV_FRACTION * n)))
     cv_idx, tr_idx = perm[:n_cv], perm[n_cv:]
     x_cv, y_cv = x[cv_idx], y[cv_idx]
-    x_tr, y_tr = x[tr_idx], y[tr_idx]
 
     baseline = frame_accuracy(predict_frames(model, x_cv), y_cv)
     newbob = NewbobSchedule(schedule, baseline)
     history: list[EpochRecord] = []
     for epoch in range(1, schedule.max_epochs + 1):
         lr = newbob.lr
-        order = rng.permutation(len(x_tr))
+        order = rng.permutation(len(tr_idx))
         losses = []
         for start in range(0, len(order), schedule.minibatch_frames):
-            sel = order[start:start + schedule.minibatch_frames]
-            losses.append(backprop_step(model, x_tr[sel], y_tr[sel], lr))
+            # minibatches are gathered from x itself: a training-split copy
+            # would hold most of x a second time
+            sel = tr_idx[order[start:start + schedule.minibatch_frames]]
+            losses.append(backprop_step(model, x[sel], y[sel], lr))
         cv_acc = frame_accuracy(predict_frames(model, x_cv), y_cv)
         history.append(EpochRecord(epoch=epoch, lr=lr,
                                    train_loss=float(np.mean(losses)),

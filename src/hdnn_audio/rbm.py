@@ -24,6 +24,9 @@ RECON_ERROR_ROWS = 1000
 # Bernoulli-Bernoulli RBMs stacked above it
 GB_LR = 0.005
 BB_LR = 0.05
+# rows per hidden_probabilities call when pretrain_stack computes an upper
+# RBM's input, so the sigmoid's temporaries stay one block in size
+UPPER_INPUT_ROW_BLOCK = 1024
 
 
 class RbmKind(enum.Enum):
@@ -157,9 +160,20 @@ def pretrain_stack(hidden_dims: list[int], data: np.ndarray,
             kind, lr, epochs = RbmKind.GAUSSIAN_BERNOULLI, GB_LR, config.gb_epochs
         else:
             # the RBM below is trained; its hidden probabilities feed this one
-            layer_input = hidden_probabilities(rbm, layer_input)
+            layer_input = _blocked_hidden_probabilities(rbm, layer_input)
             kind, lr, epochs = RbmKind.BERNOULLI_BERNOULLI, BB_LR, config.bb_epochs
         rbm = init_rbm(kind, layer_input.shape[1], h, rng)
         train_rbm(rbm, layer_input, lr, epochs, config.minibatch, rng)
         result.append((rbm.weights.copy(), rbm.hidden_bias.copy()))
     return result
+
+
+def _blocked_hidden_probabilities(rbm: RbmModel, visible: np.ndarray) -> np.ndarray:
+    """``hidden_probabilities`` of every row, UPPER_INPUT_ROW_BLOCK rows
+    at a time, written into one N x H array; each row's result depends
+    on that row alone, so the bits are those of the one-shot pass."""
+    out = np.empty((visible.shape[0], rbm.num_hidden))
+    for start in range(0, visible.shape[0], UPPER_INPUT_ROW_BLOCK):
+        stop = start + UPPER_INPUT_ROW_BLOCK
+        out[start:stop] = hidden_probabilities(rbm, visible[start:stop])
+    return out

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import gmm, hierarchy, mlp, rbm
 from .data import AnnotatedSegment, load_segment_audio, split_dataset
-from .errors import DataError, HdnnError
+from .errors import DataError, DimensionMismatch, EmptyInput, HdnnError
 from .features import (NUM_CEPS, ContextConfig, FeatureSequence, NormStats,
                        append_deltas, apply_norm, fit_norm_stats, mfcc_sequence,
                        stack_context, temporal_dct_reduce)
@@ -108,13 +108,29 @@ class System:
 def pool_frames(clips: list[tuple[FeatureSequence, int]],
                 transform) -> tuple[np.ndarray, np.ndarray]:
     """Every frame of ``transform`` of each clip, as one matrix, with the
-    clips' labels per frame."""
-    xs, ys = [], []
-    for seq, label in clips:
-        seq = transform(seq)
-        xs.append(seq.frames)
-        ys.append(np.full(seq.num_frames, label, dtype=np.int64))
-    return np.vstack(xs), np.concatenate(ys)
+    clips' labels per frame.
+
+    Each clip's frames are written straight into the one matrix, so the
+    pool is never held twice. ``transform`` must keep a clip's frame
+    count, since the labels are per input frame.
+    """
+    if not clips:
+        raise EmptyInput("no clips to pool")
+    counts = [seq.num_frames for seq, _ in clips]
+    y = np.repeat(np.array([label for _, label in clips], dtype=np.int64), counts)
+    x = None
+    end = 0
+    for (seq, _), count in zip(clips, counts):
+        frames = transform(seq).frames
+        if x is None:
+            x = np.empty((len(y), frames.shape[1]))
+        if frames.shape != (count, x.shape[1]):
+            raise DimensionMismatch(f"transform gave {frames.shape[0]} x "
+                                    f"{frames.shape[1]} frames for a {count}-frame "
+                                    f"clip of a {x.shape[1]}-dim pool")
+        x[end:end + count] = frames
+        end += count
+    return x, y
 
 
 def train_network(x: np.ndarray, y: np.ndarray, hidden_dims: list[int],

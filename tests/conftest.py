@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,21 @@ from hdnn_audio.features import AudioClip, FeatureSequence
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def traced_peak_bytes():
+    """``traced_peak_bytes(fn)``: the most memory allocated at once while
+    ``fn()`` runs, above what was allocated before it, from
+    ``tracemalloc``, which sees NumPy's array buffers too."""
+    def measure(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return measure
 
 
 @pytest.fixture

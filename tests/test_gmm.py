@@ -297,6 +297,21 @@ class TestEStep:
         assert_bitwise_equal(total, want_total)
 
 
+class TestExpExcept:
+    def test_no_skip_is_plain_exp(self):
+        a = np.array([[0.0, -0.0, 1.5, -1000.0, np.nan],
+                      [np.inf, -np.inf, 709.0, -745.2, -708.5]])
+        got = gmm._exp_except(a.copy(), np.zeros(a.shape, dtype=bool))
+        with np.errstate(over="ignore"):
+            assert_bitwise_equal(got, np.exp(a))
+
+    def test_skip_gives_positive_zero(self):
+        a = np.array([1.0, -np.inf, np.nan, -2.0])
+        skip = np.array([False, True, True, False])
+        got = gmm._exp_except(a.copy(), skip)
+        assert_bitwise_equal(got, [np.exp(1.0), 0.0, 0.0, np.exp(-2.0)])
+
+
 class TestKmeansInit:
     def test_requires_enough_frames(self, rng):
         with pytest.raises(DataTooSmall):

@@ -334,6 +334,15 @@ class TestTrain:
         assert all(r.lr == 0.5 for r in h_warm[:6])
         assert len(h_warm) >= len(h_plain)
 
+    def test_does_not_copy_the_training_split(self, rng, traced_peak_bytes):
+        x = rng.standard_normal((20_000, 64))
+        y = rng.integers(0, 4, size=20_000)
+        init = init_random([64, 32, 4], np.random.default_rng(0))
+        schedule = self.schedule(minibatch_frames=1024, max_epochs=1)
+        peak = traced_peak_bytes(lambda: train(init, (x, y), schedule))
+        # the CV split's copy (a tenth of x) and minibatch-sized arrays
+        assert peak < 0.5 * x.nbytes
+
 
 class TestPredict:
     def test_matches_argmax(self, rng):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hdnn_audio import hierarchy, mlp, systems
+from hdnn_audio.errors import DimensionMismatch, EmptyInput
 from hdnn_audio.features import (ContextConfig, FeatureSequence, NormStats,
                                  apply_norm, mfcc_sequence)
 
@@ -101,6 +102,47 @@ class TestSystemFile:
         assert trained["gmm_delta42"][0].deltas
         assert trained["gmm_delta42"][0].input_norm is None
         assert trained["gmm_stacked"][0].model.ubm.dim == 14 * 3
+
+
+class TestPoolFrames:
+    def clips(self, rng, num_clips=100, t=200, d=32):
+        return [(FeatureSequence(rng.standard_normal((t + i % 7, d))), i % 3)
+                for i in range(num_clips)]
+
+    def test_equals_stacked_transformed_clips(self, corpus):
+        system = systems.System(corpus.labels, corpus.norm, width=9, dct_keep=3)
+        x, y = systems.pool_frames(corpus.train, system.features)
+        want = np.vstack([system.features(seq).frames for seq, _ in corpus.train])
+        np.testing.assert_array_equal(x.view(np.uint64), want.view(np.uint64))
+        np.testing.assert_array_equal(y, np.concatenate(
+            [np.full(seq.num_frames, label) for seq, label in corpus.train]))
+        assert y.dtype == np.int64
+
+    def test_transform_that_drops_a_frame_is_refused(self, rng):
+        with pytest.raises(DimensionMismatch):
+            systems.pool_frames(self.clips(rng, num_clips=3),
+                                lambda seq: FeatureSequence(seq.frames[1:]))
+
+    def test_transform_that_changes_the_width_is_refused(self, rng):
+        clips = self.clips(rng, num_clips=3)
+        with pytest.raises(DimensionMismatch):
+            systems.pool_frames(clips, lambda seq: FeatureSequence(
+                seq.frames[:, :1] if seq is clips[2][0] else seq.frames))
+
+    def test_no_clips_is_refused(self):
+        with pytest.raises(EmptyInput):
+            systems.pool_frames([], lambda seq: seq)
+
+    def test_holds_the_pool_once(self, rng, traced_peak_bytes):
+        clips = self.clips(rng)
+        out = {}
+
+        def pool():
+            out["x"], _ = systems.pool_frames(
+                clips, lambda seq: FeatureSequence(seq.frames * 2.0))
+        peak = traced_peak_bytes(pool)
+        # the pool, its labels and one transformed clip
+        assert peak < 1.25 * out["x"].nbytes
 
 
 class TestAddSecondStage:
