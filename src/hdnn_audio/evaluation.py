@@ -48,12 +48,16 @@ def evaluate(system: Callable[[FeatureSequence], np.ndarray],
     """Run a per-frame classifier over a labeled clip set.
 
     ``test_set`` holds (sequence, concept index) pairs; every frame of a
-    clip carries the clip's concept label.
+    clip carries the clip's concept label. ``system`` must return one
+    label per frame; any other shape raises LengthMismatch.
     """
     correct = {label: 0 for label in labels}
     total = {label: 0 for label in labels}
     for seq, concept in test_set:
         pred = np.asarray(system(seq))
+        if pred.shape != (seq.num_frames,):
+            raise LengthMismatch(f"prediction shape {pred.shape} != "
+                                 f"({seq.num_frames},) frames of the clip")
         label = labels[concept]
         correct[label] += int(np.sum(pred == concept))
         total[label] += seq.num_frames

@@ -122,15 +122,6 @@ def periodic_hamming(n: int) -> np.ndarray:
     return 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def _frame_matrix(samples: np.ndarray, win: int, hop: int) -> np.ndarray:
-    n = len(samples)
-    if n < win:
-        raise ClipTooShort(f"clip of {n} samples cannot fit one {win}-sample frame")
-    num_frames = (n - win) // hop + 1
-    idx = np.arange(win)[None, :] + hop * np.arange(num_frames)[:, None]
-    return samples[idx]
-
-
 def mel_filterbank(sample_rate: int = CANONICAL_SAMPLE_RATE) -> np.ndarray:
     """Triangular mel filterbank as a (NUM_MEL_FILTERS, NFFT//2 + 1) matrix."""
 
@@ -174,7 +165,11 @@ def mfcc_sequence(clip: AudioClip) -> FeatureSequence:
                            clip.samples[1:] - PREEMPHASIS * clip.samples[:-1])
     win = int(round(FRAME_LENGTH_MS * clip.sample_rate / 1000.0))
     hop = int(round(FRAME_SHIFT_MS * clip.sample_rate / 1000.0))
-    raw_frames = _frame_matrix(emphasized, win, hop)
+    if len(emphasized) < win:
+        raise ClipTooShort(f"clip of {len(emphasized)} samples cannot fit one "
+                           f"{win}-sample frame")
+    # a strided view of the signal; the products below copy it
+    raw_frames = np.lib.stride_tricks.sliding_window_view(emphasized, win)[::hop]
     raw_energy = np.sum(raw_frames ** 2, axis=1)
     windowed = raw_frames * periodic_hamming(win)[None, :]
     pspec = np.abs(np.fft.rfft(windowed, NFFT, axis=1)) ** 2

@@ -3,6 +3,16 @@ per-concept adaptation by EM re-estimation, and log-likelihood-ratio
 frame scoring with one log-sum-exp over the stacked UBM and concept
 component densities.
 
+Every component log density comes from one routine, ``_log_densities``,
+over a model's density terms (``_DensityTerms``). A ``GmmConceptBank``
+computes its models' terms once, at its first scoring, and scoring
+writes each model's N x K densities from them into one model-major
+(C+1) x N x K buffer; EM builds them from the model in every E-step.
+The cached K x D terms go into the products transposed, into
+C-contiguous N x K outputs, as when they were computed per call:
+OpenBLAS picks its kernel, and with it the rounding, by the shape and
+layout of a product, so the scores keep their bits.
+
 With 64 components on up to 294 dimensions, most component log densities
 of a frame sit hundreds of nats below its best one. Slow paths of NumPy
 and OpenBLAS follow from that, and each is kept off without changing a
@@ -49,6 +59,9 @@ a center gets exactly 0 and is never drawn again.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import functools
 
 import numpy as np
 
@@ -84,18 +97,68 @@ class DiagGmm:
         return DiagGmm(self.weights.copy(), self.means.copy(), self.variances.copy())
 
 
+class _DensityTerms(NamedTuple):
+    """The parts of ln(w_k N(x | mu_k, diag sigma_k)) that depend on the
+    model alone."""
+    inv_var: np.ndarray           # K x D, 1 / variances
+    two_mean_inv_var: np.ndarray  # K x D, 2 means / variances
+    mean_sq_inv_var: np.ndarray   # K, sum over D of means^2 / variances
+    log_weight_const: np.ndarray  # K, ln w - 0.5 (D ln 2 pi + sum ln variances)
+
+
+def _density_terms(gmm: DiagGmm) -> _DensityTerms:
+    const = -0.5 * (gmm.dim * np.log(2.0 * np.pi)
+                    + np.log(gmm.variances).sum(axis=1))  # K
+    inv_var = 1.0 / gmm.variances
+    # scaling by 2 is exact, so the bits are those of 2x @ (mu iv)
+    return _DensityTerms(inv_var, 2.0 * (gmm.means * inv_var),
+                         ((gmm.means ** 2) * inv_var).sum(axis=1),
+                         np.log(gmm.weights) + const)
+
+
 @dataclass
 class GmmConceptBank:
     ubm: DiagGmm
     concept_models: dict[str, DiagGmm]
     labels: list[str]
 
+    @functools.cached_property
+    def terms(self) -> list[_DensityTerms]:
+        """The density terms of the UBM and then of each concept in label
+        order, computed once, at the first scoring; a bank's models are
+        not changed after it is built. Not a field, so not part of the
+        bank's ``==`` or ``repr``. Not computed with the bank: there these
+        long-lived arrays sat in the heap amid later training and raised
+        perfbench's peak RSS by 7-23 MB."""
+        return [_density_terms(model) for model in
+                [self.ubm] + [self.concept_models[label] for label in self.labels]]
+
+
+def _log_densities(terms: _DensityTerms, data: np.ndarray, sq: np.ndarray,
+                   out: np.ndarray | None = None,
+                   work: np.ndarray | None = None) -> np.ndarray:
+    """N x K component log densities of ``data`` (``sq`` its square) from
+    a model's density terms, into ``out``, with ``work`` for the second
+    product; each N x K, allocated here by default.
+
+    (x - mu)^2 / var is expanded without materializing N x K x D, in
+    place, in the order ln w + const - 0.5 * (x^2 @ iv - x @ 2 mu iv +
+    mu^2 iv); the K x D terms go into the products transposed (see the
+    module docstring).
+    """
+    quad = np.matmul(sq, terms.inv_var.T, out=out)
+    quad -= np.matmul(data, terms.two_mean_inv_var.T, out=work)
+    quad += terms.mean_sq_inv_var
+    quad *= 0.5
+    return np.subtract(terms.log_weight_const, quad, out=quad)
+
 
 def _component_log_densities(gmm: DiagGmm, data: np.ndarray,
                              sq: np.ndarray | None = None,
                              out: np.ndarray | None = None,
                              work: np.ndarray | None = None) -> np.ndarray:
-    """N x K matrix of ln(w_k N(x | mu_k, diag sigma_k)).
+    """N x K matrix of ln(w_k N(x | mu_k, diag sigma_k)), from density
+    terms built here from ``gmm``.
 
     ``sq`` is ``data ** 2``, for callers that score one data set with
     several models or iterations; computed here by default. ``out`` (the
@@ -107,17 +170,7 @@ def _component_log_densities(gmm: DiagGmm, data: np.ndarray,
         raise DimensionMismatch(f"data dim {data.shape[1]} != gmm dim {gmm.dim}")
     if sq is None:
         sq = np.square(data)
-    const = -0.5 * (gmm.dim * np.log(2.0 * np.pi)
-                    + np.log(gmm.variances).sum(axis=1))  # K
-    inv_var = 1.0 / gmm.variances
-    # expand (x - mu)^2 / var without materializing N x K x D, in place, in the
-    # order ln w + const - 0.5 * (x^2 @ iv - x @ 2 mu iv + mu^2 iv); scaling by
-    # 2 is exact, so the bits are the plain expression's (with 2x @ mu iv)
-    quad = np.matmul(sq, inv_var.T, out=out)
-    quad -= np.matmul(data, (2.0 * (gmm.means * inv_var)).T, out=work)
-    quad += ((gmm.means ** 2) * inv_var).sum(axis=1)
-    quad *= 0.5
-    return np.subtract(np.log(gmm.weights) + const, quad, out=quad)
+    return _log_densities(_density_terms(gmm), data, sq, out, work)
 
 
 def logsumexp(a: np.ndarray) -> np.ndarray:
@@ -353,24 +406,29 @@ def _adapt_means_only(ubm: DiagGmm, data: np.ndarray, iterations: int) -> DiagGm
 def log_likelihood_ratios(bank: GmmConceptBank, frames: np.ndarray) -> np.ndarray:
     """N x C matrix of ln p(x | concept) - ln p(x | UBM), columns in label order.
 
-    The component log densities of the UBM and the C concept models are
-    stacked into one N x (C+1) x K array and reduced by one log-sum-exp,
-    SCORE_ROW_BLOCK frames at a time. Each model's densities come from
-    its own products: BLAS picks its kernel, and with it the rounding, by
-    the shape of a product, so one product over all (C+1)K components
-    would not be bitwise equal to scoring each model by itself.
+    SCORE_ROW_BLOCK frames at a time, each model's component densities
+    are written from the bank's density terms into one model-major
+    (C+1) x N x K buffer and reduced by one log-sum-exp. Each model's
+    densities come from its own products: BLAS picks its kernel, and with
+    it the rounding, by the shape of a product, so one product over all
+    (C+1)K components would not be bitwise equal to scoring each model by
+    itself.
     """
     frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
-    models = [bank.ubm] + [bank.concept_models[label] for label in bank.labels]
+    if frames.shape[1] != bank.ubm.dim:
+        raise DimensionMismatch(f"data dim {frames.shape[1]} != gmm dim {bank.ubm.dim}")
     blocks = max(1, -(-frames.shape[0] // SCORE_ROW_BLOCK))
     llrs = []
     # near-equal blocks: a last block of a few rows would take another BLAS
     # kernel than the whole input does, and round otherwise
     for block in np.array_split(frames, blocks):
         sq = np.square(block)
-        ll = logsumexp(np.stack([_component_log_densities(model, block, sq)
-                                 for model in models], axis=1))
-        llrs.append(ll[:, 1:] - ll[:, :1])
+        dens = np.empty((len(bank.terms), block.shape[0], bank.ubm.num_components))
+        work = np.empty(dens.shape[1:])
+        for terms, out in zip(bank.terms, dens):
+            _log_densities(terms, block, sq, out=out, work=work)
+        ll = logsumexp(dens)
+        llrs.append((ll[1:] - ll[0]).T)
     return np.concatenate(llrs)
 
 

@@ -159,8 +159,11 @@ def pretrain_stack(hidden_dims: list[int], data: np.ndarray,
         if i == 0:
             kind, lr, epochs = RbmKind.GAUSSIAN_BERNOULLI, GB_LR, config.gb_epochs
         else:
-            # the RBM below is trained; its hidden probabilities feed this one
-            layer_input = _blocked_hidden_probabilities(rbm, layer_input)
+            # the RBM below is trained; its hidden probabilities feed this
+            # one, over its own input when that is as wide and not ``data``
+            in_place = i > 1 and rbm.num_hidden == layer_input.shape[1]
+            layer_input = _blocked_hidden_probabilities(
+                rbm, layer_input, out=layer_input if in_place else None)
             kind, lr, epochs = RbmKind.BERNOULLI_BERNOULLI, BB_LR, config.bb_epochs
         rbm = init_rbm(kind, layer_input.shape[1], h, rng)
         train_rbm(rbm, layer_input, lr, epochs, config.minibatch, rng)
@@ -168,11 +171,15 @@ def pretrain_stack(hidden_dims: list[int], data: np.ndarray,
     return result
 
 
-def _blocked_hidden_probabilities(rbm: RbmModel, visible: np.ndarray) -> np.ndarray:
+def _blocked_hidden_probabilities(rbm: RbmModel, visible: np.ndarray,
+                                  out: np.ndarray | None = None) -> np.ndarray:
     """``hidden_probabilities`` of every row, UPPER_INPUT_ROW_BLOCK rows
-    at a time, written into one N x H array; each row's result depends
-    on that row alone, so the bits are those of the one-shot pass."""
-    out = np.empty((visible.shape[0], rbm.num_hidden))
+    at a time, written into ``out``, an N x H array allocated here by
+    default. Each row's result depends on that row alone, so the bits are
+    those of the one-shot pass, and ``out`` may be ``visible`` itself: a
+    block's rows are read before they are written."""
+    if out is None:
+        out = np.empty((visible.shape[0], rbm.num_hidden))
     for start in range(0, visible.shape[0], UPPER_INPUT_ROW_BLOCK):
         stop = start + UPPER_INPUT_ROW_BLOCK
         out[start:stop] = hidden_probabilities(rbm, visible[start:stop])

@@ -58,6 +58,15 @@ class TestEvaluate:
         assert report.overall_fa == 50.0
         assert report.per_concept_fa == {"x": 100.0, "y": 0.0}
 
+    @pytest.mark.parametrize("predict", [
+        lambda seq: np.zeros(seq.num_frames - 1, dtype=int),
+        lambda seq: np.zeros((seq.num_frames, 2)),
+        lambda seq: np.zeros((seq.num_frames, 1), dtype=int),
+    ], ids=["short", "scores", "column"])
+    def test_wrong_length_prediction_raises(self, rng, predict):
+        with pytest.raises(LengthMismatch):
+            evaluate(predict, make_test_set(rng), ["x", "y"])
+
     def test_empty_test_set(self):
         with pytest.raises(EmptyInput):
             evaluate(lambda seq: np.zeros(0), [], ["x"])

@@ -17,6 +17,23 @@ def expected_frames(n, win=400, hop=160):
     return (n - win) // hop + 1 if n >= win else 0
 
 
+def index_gather_mfcc(clip):
+    """mfcc_sequence with the frames gathered by a T x win index matrix,
+    as an oracle for the strided framing."""
+    x = clip.samples
+    emphasized = np.append(x[0], x[1:] - features.PREEMPHASIS * x[:-1])
+    win, hop = 400, 160
+    num_frames = (len(emphasized) - win) // hop + 1
+    raw_frames = emphasized[np.arange(win)[None, :]
+                            + hop * np.arange(num_frames)[:, None]]
+    raw_energy = np.sum(raw_frames ** 2, axis=1)
+    windowed = raw_frames * periodic_hamming(win)[None, :]
+    pspec = np.abs(np.fft.rfft(windowed, features.NFFT, axis=1)) ** 2
+    log_mel = np.log(np.maximum(pspec @ mel_filterbank().T, 1e-10))
+    ceps = scipy.fft.dct(log_mel, type=2, axis=1, norm="ortho")[:, :features.NUM_CEPS]
+    return np.hstack([ceps, np.log(np.maximum(raw_energy, 1e-10))[:, None]])
+
+
 class TestFraming:
     def test_one_second_frame_count(self, tone_clip):
         assert mfcc_sequence(tone_clip).num_frames == expected_frames(16000)
@@ -45,6 +62,14 @@ class TestFraming:
     def test_frame_count_formula(self, n):
         clip = AudioClip(samples=np.zeros(n), sample_rate=16000)
         assert mfcc_sequence(clip).num_frames == expected_frames(n)
+
+    @pytest.mark.parametrize("n", [400, 400 + 159, 400 + 160, 32000])
+    def test_mfcc_equals_index_gather_framing(self, n):
+        samples = np.random.default_rng(n).uniform(-0.5, 0.5, n)
+        clip = AudioClip(samples=samples, sample_rate=16000)
+        np.testing.assert_array_equal(
+            mfcc_sequence(clip).frames.view(np.uint64),
+            index_gather_mfcc(clip).view(np.uint64))
 
     def test_periodic_hamming_endpoints(self):
         w = periodic_hamming(400)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -9,12 +10,13 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
-from hdnn_audio import gmm
+from hdnn_audio import gmm, systems
 from hdnn_audio.errors import DataTooSmall, DimensionMismatch, EmptyInput
 from hdnn_audio.gmm import (DiagGmm, GmmConceptBank, adapt_concept,
                             classify_frames, em_train, kmeans_pp_init,
                             log_likelihood_ratios, log_likelihoods, train_ubm,
                             ubm_global_variance)
+from hdnn_audio.features import NormStats
 
 
 def random_gmm(rng, k=3, d=4):
@@ -177,16 +179,26 @@ def per_concept_llrs(bank, frames):
 def check_stacked_scoring_matches_per_concept_loop():
     """D of the three GMM front-ends; one model's product over 17 rows
     takes OpenBLAS's small-matrix kernel, and SCORE_ROW_BLOCK + 1 rows
-    are scored in two blocks."""
+    are scored in two blocks. A bank scored again, and the same bank
+    saved and loaded as the front-end's system, give the same bits."""
     rng = np.random.default_rng(5)
-    for d in (42, 70, 294):
-        bank = random_bank(rng, d)
-        for n in (1, 17, 160, gmm.SCORE_ROW_BLOCK + 1):
-            frames = rng.standard_normal((n, d)) * 2.0
-            expected = per_concept_llrs(bank, frames)
-            assert_bitwise_equal(log_likelihood_ratios(bank, frames), expected)
-            np.testing.assert_array_equal(classify_frames(bank, frames),
-                                          expected.argmax(axis=1))
+    front_ends = {42: {"deltas": True}, 70: {"width": 5}, 294: {"width": 21}}
+    with tempfile.TemporaryDirectory() as tmp:
+        for d, front_end in front_ends.items():
+            bank = random_bank(rng, d)
+            path = Path(tmp) / f"d{d}.acsy"
+            systems.save_system(systems.System(
+                labels=bank.labels, mfcc_norm=NormStats(np.zeros(14), np.ones(14)),
+                model=bank, **front_end), path)
+            loaded = systems.load_system(path).model
+            for n in (1, 17, 160, gmm.SCORE_ROW_BLOCK + 1):
+                frames = rng.standard_normal((n, d)) * 2.0
+                expected = per_concept_llrs(bank, frames)
+                for scored in (bank, bank, loaded):
+                    assert_bitwise_equal(log_likelihood_ratios(scored, frames),
+                                         expected)
+                np.testing.assert_array_equal(classify_frames(bank, frames),
+                                              expected.argmax(axis=1))
 
 
 class TestStackedScoring:
@@ -203,8 +215,29 @@ class TestStackedScoring:
         assert proc.returncode == 0, proc.stderr
 
     def test_dim_mismatch(self, rng):
+        bank = random_bank(rng, d=4, k=3)
         with pytest.raises(DimensionMismatch):
-            classify_frames(random_bank(rng, d=4, k=3), np.zeros((5, 3)))
+            classify_frames(bank, np.zeros((5, 3)))
+        for shape in [(5, 3), (5, 5), (3,), (1, 1)]:
+            with pytest.raises(DimensionMismatch):
+                log_likelihood_ratios(bank, np.zeros(shape))
+
+    def test_density_terms_built_once_per_bank(self, rng, monkeypatch):
+        built = []
+        density_terms = gmm._density_terms
+        monkeypatch.setattr(gmm, "_density_terms",
+                            lambda model: built.append(model) or density_terms(model))
+        bank = random_bank(rng, d=6, k=4, num_concepts=3)
+        models = [bank.ubm] + [bank.concept_models[l] for l in bank.labels]
+        frames = rng.standard_normal((2 * gmm.SCORE_ROW_BLOCK + 5, 6))
+        first = log_likelihood_ratios(bank, frames)  # three row blocks
+        assert [id(m) for m in built] == [id(m) for m in models]
+        classify_frames(bank, frames[:7])
+        assert_bitwise_equal(log_likelihood_ratios(bank, frames), first)
+        assert len(built) == len(models)
+        # the terms are the bank's own, not part of its value
+        assert bank == GmmConceptBank(bank.ubm, bank.concept_models, bank.labels)
+        assert "terms" not in repr(bank)
 
 
 class TestLogLikelihoods:

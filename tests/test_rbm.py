@@ -132,23 +132,31 @@ class TestPretrainStack:
     def test_blocked_upper_input_equals_one_shot_pass(self, rng):
         # two full blocks and a remainder block
         n = 2 * rbm.UPPER_INPUT_ROW_BLOCK + 37
-        model = init_rbm(RbmKind.BERNOULLI_BERNOULLI, 24, 16, rng)
-        model.weights *= 100.0  # sigmoid saturates both ways
-        model.hidden_bias = rng.standard_normal(16)
-        visible = rng.random((n, 24))
-        blocked = rbm._blocked_hidden_probabilities(model, visible)
-        want = hidden_probabilities(model, visible)
-        assert blocked.shape == want.shape == (n, 16)
-        np.testing.assert_array_equal(blocked.view(np.uint64), want.view(np.uint64))
+        for num_visible in (24, 16):  # a new array, then in place
+            model = init_rbm(RbmKind.BERNOULLI_BERNOULLI, num_visible, 16, rng)
+            model.weights *= 100.0  # sigmoid saturates both ways
+            model.hidden_bias = rng.standard_normal(16)
+            visible = rng.random((n, num_visible))
+            want = hidden_probabilities(model, visible)
+            out = visible if num_visible == 16 else None
+            blocked = rbm._blocked_hidden_probabilities(model, visible, out=out)
+            assert out is None or blocked is visible
+            assert blocked.shape == want.shape == (n, 16)
+            np.testing.assert_array_equal(blocked.view(np.uint64), want.view(np.uint64))
 
     def test_holds_one_upper_layer_input_at_a_time(self, rng, traced_peak_bytes):
         data = rng.standard_normal((20_000, 64))
+        kept = data.copy()
         config = PretrainConfig(gb_epochs=1, bb_epochs=1, minibatch=256,
                                 rng_seed=0)
-        peak = traced_peak_bytes(lambda: pretrain_stack([64, 64], data, config))
-        # one 20 000 x 64 upper-layer input, and temporaries of one row
-        # block or one minibatch
-        assert peak < 1.5 * data.nbytes
+        # the third RBM's input is written over the second's, as wide, and
+        # never over the data
+        for hidden_dims in ([64, 64], [64, 64, 64]):
+            peak = traced_peak_bytes(lambda: pretrain_stack(hidden_dims, data, config))
+            # one 20 000 x 64 upper-layer input, and temporaries of one row
+            # block or one minibatch
+            assert peak < 1.5 * data.nbytes
+            np.testing.assert_array_equal(data, kept)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
