@@ -167,10 +167,24 @@ def concept_table(num_concepts: int) -> list[ConceptSpec]:
     return table
 
 
+_BANDPASS_CACHE: dict[tuple, np.ndarray] = {}
+
+
+def _bandpass_sos(low_hz, high_hz, sr) -> np.ndarray:
+    """Read-only 4th-order Butterworth band-pass design, built once per band."""
+    key = (low_hz, high_hz, sr)
+    if key not in _BANDPASS_CACHE:
+        sos = scipy.signal.butter(4, [low_hz, high_hz], btype="bandpass",
+                                  fs=sr, output="sos")
+        sos.flags.writeable = False
+        _BANDPASS_CACHE[key] = sos
+    return _BANDPASS_CACHE[key]
+
+
 def _synth_band_noise(rng, n, sr, low_hz, high_hz):
-    sos = scipy.signal.butter(4, [low_hz, high_hz], btype="bandpass",
-                              fs=sr, output="sos")
-    sig = scipy.signal.sosfilt(sos, rng.standard_normal(n))
+    # sosfilt rejects a read-only design, so it filters with a copy
+    sig = scipy.signal.sosfilt(_bandpass_sos(low_hz, high_hz, sr).copy(),
+                               rng.standard_normal(n))
     return 0.25 * sig / max(np.sqrt(np.mean(sig ** 2)), 1e-12)
 
 

@@ -29,6 +29,7 @@ NUM_MEL_FILTERS = 26
 MEL_LOW_HZ = 0.0
 MEL_HIGH_HZ = 8000.0
 STD_FLOOR = 1e-8
+NORM_ROW_BLOCK = 1024  # rows squared at once for the normalization std
 
 FRAME_LENGTH_MS = 25.0
 FRAME_SHIFT_MS = 10.0
@@ -146,12 +147,21 @@ def mel_filterbank(sample_rate: int = CANONICAL_SAMPLE_RATE) -> np.ndarray:
 
 
 _FBANK_CACHE: dict[int, np.ndarray] = {}
+_HAMMING_CACHE: dict[int, np.ndarray] = {}
 
 
 def _cached_fbank(sample_rate: int) -> np.ndarray:
     if sample_rate not in _FBANK_CACHE:
         _FBANK_CACHE[sample_rate] = mel_filterbank(sample_rate)
     return _FBANK_CACHE[sample_rate]
+
+
+def _cached_hamming(n: int) -> np.ndarray:
+    if n not in _HAMMING_CACHE:
+        window = periodic_hamming(n)
+        window.flags.writeable = False
+        _HAMMING_CACHE[n] = window
+    return _HAMMING_CACHE[n]
 
 
 def mfcc_sequence(clip: AudioClip) -> FeatureSequence:
@@ -171,7 +181,7 @@ def mfcc_sequence(clip: AudioClip) -> FeatureSequence:
     # a strided view of the signal; the products below copy it
     raw_frames = np.lib.stride_tricks.sliding_window_view(emphasized, win)[::hop]
     raw_energy = np.sum(raw_frames ** 2, axis=1)
-    windowed = raw_frames * periodic_hamming(win)[None, :]
+    windowed = raw_frames * _cached_hamming(win)[None, :]
     pspec = np.abs(np.fft.rfft(windowed, NFFT, axis=1)) ** 2
     mel_energies = pspec @ _cached_fbank(clip.sample_rate).T
     log_mel = np.log(np.maximum(mel_energies, 1e-10))
@@ -204,11 +214,35 @@ def append_deltas(seq: FeatureSequence) -> FeatureSequence:
 
 
 def fit_norm_stats(frames: np.ndarray) -> NormStats:
-    """Per-dimension mean/std over the rows of a T x D frame matrix."""
+    """Per-dimension mean/std over the rows of a T x D frame matrix, with
+    the bits of ``frames.mean(axis=0)`` and ``frames.std(axis=0)``."""
     if frames.shape[0] == 0:
         raise EmptyInput("no frames to fit normalization statistics on")
-    return NormStats(mean=frames.mean(axis=0),
-                     std=np.maximum(frames.std(axis=0), STD_FLOOR))
+    mean = frames.mean(axis=0)
+    return NormStats(mean=mean, std=np.maximum(_column_std(frames, mean), STD_FLOOR))
+
+
+def _column_std(frames: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """``frames.std(axis=0)``, squaring NORM_ROW_BLOCK rows at a time.
+
+    NumPy sums a C-contiguous T x D array (D > 1) over axis 0 one row at
+    a time, so adding the running sum into each block's first row keeps
+    its exact sequence of additions. A single column, or a layout that is
+    not C-contiguous, may be summed pairwise, and goes to ``np.std``.
+    """
+    n, dim = frames.shape
+    if dim < 2 or not frames.flags.c_contiguous:
+        return frames.std(axis=0)
+    buf = np.empty((min(n, NORM_ROW_BLOCK), dim), dtype=mean.dtype)
+    total = None
+    for start in range(0, n, NORM_ROW_BLOCK):
+        block = frames[start:start + NORM_ROW_BLOCK]
+        d = np.subtract(block, mean, out=buf[:len(block)])
+        d *= d
+        if total is not None:
+            d[0] += total
+        total = d.sum(axis=0)
+    return np.sqrt(total / n)
 
 
 def apply_norm(seq: FeatureSequence, stats: NormStats) -> FeatureSequence:

@@ -200,11 +200,6 @@ def logsumexp(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def log_likelihoods(gmm: DiagGmm, data: np.ndarray) -> np.ndarray:
-    """Per-frame ln p(x) via log-sum-exp over components."""
-    return logsumexp(_component_log_densities(gmm, data))
-
-
 def _exp_except(a: np.ndarray, skip: np.ndarray) -> np.ndarray:
     """exp(a) in place, with +0.0 where ``skip``: the skipped entries go
     into ``np.exp`` as 0.0, and its results are multiplied by ``~skip``

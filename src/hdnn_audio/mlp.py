@@ -115,15 +115,16 @@ class NewbobSchedule:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function that never overflows: exp is only taken of
-    min(z, 0) and -|z|, as exp(min(z, 0)) / (1 + exp(-|z|)).
+    """Logistic function that never overflows: with e = exp(-|z|), it is
+    max(e, z >= 0) / (1 + e), one exp per entry.
 
     Bitwise equal to the two-branch form 1/(1+exp(-z)) for z >= 0 and
     exp(z)/(1+exp(z)) for z < 0, without gathering either branch: the
-    numerator is exp(0) = 1 for z >= 0 (-0.0 included) and the
-    denominator's exp(z) for z < 0. NaN stays NaN.
+    numerator is 1 for z >= 0 (-0.0 included), since e <= 1, and e =
+    exp(z) for z < 0. NaN stays NaN.
     """
-    return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
+    e = np.exp(-np.abs(z))
+    return np.maximum(e, z >= 0) / (1.0 + e)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:

@@ -178,6 +178,36 @@ class TestNormalization:
         with pytest.raises(EmptyInput):
             fit_norm_stats(np.empty((0, 4)))
 
+    @staticmethod
+    def assert_fits_like_numpy(frames):
+        stats = fit_norm_stats(frames)
+        want_std = np.maximum(frames.std(axis=0), features.STD_FLOOR)
+        np.testing.assert_array_equal(stats.mean.view(np.uint64),
+                                      frames.mean(axis=0).view(np.uint64))
+        np.testing.assert_array_equal(stats.std.view(np.uint64),
+                                      want_std.view(np.uint64))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+    @pytest.mark.parametrize("shape", [
+        (1, 3), (2, 2), (1023, 14), (1024, 14), (1025, 14), (2047, 14),
+        (2048, 14), (2049, 14), (4097, 5), (5000, 1), (5000, 2), (777, 40),
+        (3000, 70), (10000, 294), (16169, 42), (6495, 462)])
+    def test_bitwise_equal_to_numpy(self, rng, shape, scale):
+        # the blocked sum must keep NumPy's row-by-row order across blocks
+        assert features.NORM_ROW_BLOCK == 1024
+        offsets = rng.normal(0.0, 5.0, size=shape[1])
+        self.assert_fits_like_numpy(scale * (rng.standard_normal(shape) + offsets))
+
+    def test_other_layouts_bitwise_equal_to_numpy(self, rng):
+        x = rng.standard_normal((3000, 70)) + rng.normal(0.0, 5.0, size=70)
+        self.assert_fits_like_numpy(np.asfortranarray(x))
+        self.assert_fits_like_numpy(x[::3, 1::2])
+
+    def test_holds_no_copy_of_the_input(self, rng, traced_peak_bytes):
+        x = rng.standard_normal((20000, 462))
+        peak = traced_peak_bytes(lambda: fit_norm_stats(x))
+        assert peak < 0.1 * x.nbytes
+
     def test_dim_mismatch_raises(self, small_seq, rng):
         other = FeatureSequence(frames=rng.standard_normal((5, 3)))
         stats = fit_norm_stats(other.frames)

@@ -14,7 +14,7 @@ from hdnn_audio import gmm, systems
 from hdnn_audio.errors import DataTooSmall, DimensionMismatch, EmptyInput
 from hdnn_audio.gmm import (DiagGmm, GmmConceptBank, adapt_concept,
                             classify_frames, em_train, kmeans_pp_init,
-                            log_likelihood_ratios, log_likelihoods, train_ubm,
+                            log_likelihood_ratios, train_ubm,
                             ubm_global_variance)
 from hdnn_audio.features import NormStats
 
@@ -24,6 +24,11 @@ def random_gmm(rng, k=3, d=4):
     return DiagGmm(weights=w / w.sum(),
                    means=rng.standard_normal((k, d)),
                    variances=rng.random((k, d)) + 0.5)
+
+
+def log_likelihoods(model, data):
+    """Per-frame ln p(x): log-sum-exp of the per-component densities."""
+    return gmm.logsumexp(gmm._component_log_densities(model, data))
 
 
 def two_cluster_data(rng, n=400, d=3):
