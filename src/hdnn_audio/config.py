@@ -130,7 +130,8 @@ def _check(hint, value, path):
     accepted = (int, float) if hint is float else (hint,)
     if isinstance(value, bool) != (hint is bool) or not isinstance(value, accepted):
         raise ConfigError(f"{path}: expected {hint.__name__}, got {value!r}")
-    return value
+    # a float, not the int read: equal configs get equal fingerprints
+    return float(value) if hint is float else value
 
 
 def _from_dict(cls, data, path="config"):

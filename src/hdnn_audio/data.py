@@ -12,6 +12,7 @@ The generator emits four concept families:
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -167,18 +168,13 @@ def concept_table(num_concepts: int) -> list[ConceptSpec]:
     return table
 
 
-_BANDPASS_CACHE: dict[tuple, np.ndarray] = {}
-
-
+@functools.cache
 def _bandpass_sos(low_hz, high_hz, sr) -> np.ndarray:
     """Read-only 4th-order Butterworth band-pass design, built once per band."""
-    key = (low_hz, high_hz, sr)
-    if key not in _BANDPASS_CACHE:
-        sos = scipy.signal.butter(4, [low_hz, high_hz], btype="bandpass",
-                                  fs=sr, output="sos")
-        sos.flags.writeable = False
-        _BANDPASS_CACHE[key] = sos
-    return _BANDPASS_CACHE[key]
+    sos = scipy.signal.butter(4, [low_hz, high_hz], btype="bandpass",
+                              fs=sr, output="sos")
+    sos.flags.writeable = False
+    return sos
 
 
 def _synth_band_noise(rng, n, sr, low_hz, high_hz):

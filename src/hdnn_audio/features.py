@@ -12,6 +12,7 @@ ln(1e-10), orthonormal DCT-II, 13 cepstra.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -146,22 +147,19 @@ def mel_filterbank(sample_rate: int = CANONICAL_SAMPLE_RATE) -> np.ndarray:
     return fbank
 
 
-_FBANK_CACHE: dict[int, np.ndarray] = {}
-_HAMMING_CACHE: dict[int, np.ndarray] = {}
-
-
+# read-only: each cached array is shared by every caller
+@functools.cache
 def _cached_fbank(sample_rate: int) -> np.ndarray:
-    if sample_rate not in _FBANK_CACHE:
-        _FBANK_CACHE[sample_rate] = mel_filterbank(sample_rate)
-    return _FBANK_CACHE[sample_rate]
+    fbank = mel_filterbank(sample_rate)
+    fbank.flags.writeable = False
+    return fbank
 
 
+@functools.cache
 def _cached_hamming(n: int) -> np.ndarray:
-    if n not in _HAMMING_CACHE:
-        window = periodic_hamming(n)
-        window.flags.writeable = False
-        _HAMMING_CACHE[n] = window
-    return _HAMMING_CACHE[n]
+    window = periodic_hamming(n)
+    window.flags.writeable = False
+    return window
 
 
 def mfcc_sequence(clip: AudioClip) -> FeatureSequence:

@@ -7,30 +7,27 @@ Every component log density comes from one routine, ``_log_densities``,
 over a model's density terms (``_DensityTerms``). A ``GmmConceptBank``
 computes its models' terms once, at its first scoring, and scoring
 writes each model's N x K densities from them into one model-major
-(C+1) x N x K buffer; EM builds them from the model in every E-step.
-The cached K x D terms go into the products transposed, into
-C-contiguous N x K outputs, as when they were computed per call:
-OpenBLAS picks its kernel, and with it the rounding, by the shape and
-layout of a product, so the scores keep their bits.
+(C+1) x N x K buffer; EM's E-step (``_e_step``) builds them from the
+model in every iteration. The cached K x D terms go into the products
+transposed, into C-contiguous N x K outputs, as when they were computed
+per call: OpenBLAS picks its kernel, and with it the rounding, by the
+shape and layout of a product, so the scores keep their bits.
 
 With 64 components on up to 294 dimensions, most component log densities
 of a frame sit hundreds of nats below its best one. Slow paths of NumPy
 and OpenBLAS follow from that, and each is kept off without changing a
 bit:
 
-- ``np.exp`` is slow on any argument whose result is not a normal
-  number: on 16 169 x 64 inputs (a 2-vCPU Skylake-X host) it took
-  1.45 ms when every result was normal, 5.7 ms on all -inf, 10.7 ms on a
-  half -inf mix and 19 ms when every result underflowed. So the entries
-  whose term must be +0.0 are
-  left out of it (``_exp_except``): in ``logsumexp`` the maxima, which
-  the sum takes out, and the arguments below EXP_ZERO_BELOW; in EM the
-  log-responsibilities below RESP_LOG_FLOOR. They go in as 0.0, and the
-  results are multiplied by the mask of the other entries, which gives
-  +0.0 where ``np.exp`` gave +0.0 on -inf and leaves every other result,
-  NaN and inf included, as it was. ``logsumexp`` stays exact: ``np.exp``
-  gives +0.0 below EXP_ZERO_BELOW anyway, and its subnormal terms above
-  that are kept.
+- ``np.exp`` is several times slower on any argument whose result is
+  not a normal number, -inf included. So the entries whose term must be
+  +0.0 are left out of it (``_exp_except``): in ``logsumexp`` the
+  maxima, which the sum takes out, and the arguments below
+  EXP_ZERO_BELOW; in EM the log-responsibilities below RESP_LOG_FLOOR.
+  They go in as 0.0, and the results are multiplied by the mask of the
+  other entries, which gives +0.0 where ``np.exp`` gave +0.0 on -inf and
+  leaves every other result, NaN and inf included, as it was.
+  ``logsumexp`` stays exact: ``np.exp`` gives +0.0 below EXP_ZERO_BELOW
+  anyway, and its subnormal terms above that are kept.
 - EM drops responsibilities below 2**-1022 (log-responsibilities below
   RESP_LOG_FLOOR), so no subnormal reaches ``nk`` or the M-step
   products, where OpenBLAS takes microcode assists on them. Such a
@@ -39,13 +36,6 @@ bit:
   sum's bits as they were. A component whose sums all stay below that
   has ``nk < RESP_MASS_FLOOR`` and is reset to the global statistics (or,
   in means-only adaptation, kept) either way.
-
-EM's E-step (``_e_step``) writes the component log densities and the
-responsibilities into two N x K buffers allocated once per ``em_train``
-call, through ``_component_log_densities`` and ``_responsibilities``
-themselves, so with the same bits. Running its
-elementwise work over row blocks gave the same bits and was as fast
-within noise, so it runs over all N rows.
 
 k-means++ seeding computes each center's squared distances as
 max(|x|^2 - 2 x.c + |c|^2, 0), one matrix-vector product, with |x|^2
@@ -127,9 +117,9 @@ class GmmConceptBank:
         """The density terms of the UBM and then of each concept in label
         order, computed once, at the first scoring; a bank's models are
         not changed after it is built. Not a field, so not part of the
-        bank's ``==`` or ``repr``. Not computed with the bank: there these
-        long-lived arrays sat in the heap amid later training and raised
-        perfbench's peak RSS by 7-23 MB."""
+        bank's ``==`` or ``repr``. Not computed with the bank, so these
+        long-lived arrays are not placed in the heap amid later training,
+        where they raised the peak RSS."""
         return [_density_terms(model) for model in
                 [self.ubm] + [self.concept_models[label] for label in self.labels]]
 
@@ -151,26 +141,6 @@ def _log_densities(terms: _DensityTerms, data: np.ndarray, sq: np.ndarray,
     quad += terms.mean_sq_inv_var
     quad *= 0.5
     return np.subtract(terms.log_weight_const, quad, out=quad)
-
-
-def _component_log_densities(gmm: DiagGmm, data: np.ndarray,
-                             sq: np.ndarray | None = None,
-                             out: np.ndarray | None = None,
-                             work: np.ndarray | None = None) -> np.ndarray:
-    """N x K matrix of ln(w_k N(x | mu_k, diag sigma_k)), from density
-    terms built here from ``gmm``.
-
-    ``sq`` is ``data ** 2``, for callers that score one data set with
-    several models or iterations; computed here by default. ``out`` (the
-    result) and ``work`` are N x K buffers to write into; allocated here
-    by default.
-    """
-    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    if data.shape[1] != gmm.dim:
-        raise DimensionMismatch(f"data dim {data.shape[1]} != gmm dim {gmm.dim}")
-    if sq is None:
-        sq = np.square(data)
-    return _log_densities(_density_terms(gmm), data, sq, out, work)
 
 
 def logsumexp(a: np.ndarray) -> np.ndarray:
@@ -213,23 +183,24 @@ def _exp_except(a: np.ndarray, skip: np.ndarray) -> np.ndarray:
     return a
 
 
-def _responsibilities(comp_ll: np.ndarray,
-                      out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """exp(comp_ll - logsumexp(comp_ll)), written into ``out`` (by default
-    in place in ``comp_ll``), with the subnormal responsibilities set to 0
-    (see the module docstring). Returns (responsibilities, per-frame ln p(x))."""
-    total = logsumexp(comp_ll)
-    resp = np.subtract(comp_ll, total[:, None], out=comp_ll if out is None else out)
-    return _exp_except(resp, resp < RESP_LOG_FLOOR), total
-
-
 def _e_step(gmm: DiagGmm, data: np.ndarray, sq: np.ndarray, dens: np.ndarray,
             resp: np.ndarray) -> np.ndarray:
     """EM's E-step: the component log densities of ``data`` into ``dens``
     and the responsibilities into ``resp``, N x K buffers that EM
-    allocates once per run; returns the per-frame ln p(x)."""
-    _component_log_densities(gmm, data, sq, out=dens, work=resp)
-    return _responsibilities(dens, out=resp)[1]
+    allocates once per run, with ``sq`` the run's ``data ** 2``; the
+    responsibilities below exp(RESP_LOG_FLOOR) are set to 0 (see the
+    module docstring). Returns the per-frame ln p(x)."""
+    _log_densities(_density_terms(gmm), data, sq, out=dens, work=resp)
+    total = logsumexp(dens)
+    np.subtract(dens, total[:, None], out=resp)
+    _exp_except(resp, resp < RESP_LOG_FLOOR)
+    return total
+
+
+def _check_dim(model: DiagGmm, data: np.ndarray) -> None:
+    """DimensionMismatch unless the N x D ``data`` has the model's D."""
+    if data.shape[1] != model.dim:
+        raise DimensionMismatch(f"data dim {data.shape[1]} != gmm dim {model.dim}")
 
 
 def _global_var_floor(data_var: np.ndarray) -> np.ndarray:
@@ -251,6 +222,7 @@ def em_train(init: DiagGmm, data: np.ndarray, iterations: int,
     n = data.shape[0]
     if n == 0:
         raise EmptyInput("no frames for EM")
+    _check_dim(init, data)
     gmm = init.copy()
     data_var = data.var(axis=0)
     if var_floor is None:
@@ -259,8 +231,7 @@ def em_train(init: DiagGmm, data: np.ndarray, iterations: int,
     global_var = np.maximum(data_var, var_floor)
     ll_history: list[float] = []
     sq = np.square(data)  # shared by every E- and M-step
-    # two N x K arrays: one 2 x N x K array took the benchmark's peak RSS
-    # 15-25 MB higher
+    # two N x K arrays: one 2 x N x K array raised the peak RSS
     dens = np.empty((n, gmm.num_components))
     resp = np.empty_like(dens)
     for _ in range(iterations):
@@ -377,10 +348,11 @@ def adapt_concept(ubm: DiagGmm, concept_data: np.ndarray,
     concept_data = np.atleast_2d(np.asarray(concept_data, dtype=np.float64))
     if concept_data.shape[0] == 0:
         raise EmptyInput("concept has no frames")
-    var_floor = np.maximum(VAR_FLOOR_FRACTION * ubm_global_variance(ubm), 1e-12)
+    _check_dim(ubm, concept_data)
     if concept_data.shape[0] < ubm.num_components:
         return _adapt_means_only(ubm, concept_data, iterations)
-    model, _ = em_train(ubm, concept_data, iterations, var_floor=var_floor)
+    model, _ = em_train(ubm, concept_data, iterations,
+                        var_floor=_global_var_floor(ubm_global_variance(ubm)))
     return model
 
 
@@ -410,8 +382,7 @@ def log_likelihood_ratios(bank: GmmConceptBank, frames: np.ndarray) -> np.ndarra
     itself.
     """
     frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
-    if frames.shape[1] != bank.ubm.dim:
-        raise DimensionMismatch(f"data dim {frames.shape[1]} != gmm dim {bank.ubm.dim}")
+    _check_dim(bank.ubm, frames)
     blocks = max(1, -(-frames.shape[0] // SCORE_ROW_BLOCK))
     llrs = []
     # near-equal blocks: a last block of a few rows would take another BLAS

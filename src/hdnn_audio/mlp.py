@@ -12,7 +12,6 @@ import numpy as np
 
 from .errors import (DimensionMismatch, LabelOutOfRange, NonFiniteGradient)
 from .evaluation import frame_accuracy
-from .features import FeatureSequence
 
 POSTERIOR_CLAMP = 1e-12
 # newbob thresholds on the epoch-over-epoch CV accuracy gain, in
@@ -94,7 +93,6 @@ class NewbobSchedule:
     """
 
     def __init__(self, schedule: TrainSchedule, baseline_accuracy: float):
-        self.schedule = schedule
         self.lr = schedule.initial_lr
         self.ramping = True
         self.prev_accuracy = baseline_accuracy
@@ -268,9 +266,9 @@ def train(init_model: MlpModel, train_set: tuple[np.ndarray, np.ndarray],
     return model, history
 
 
-def predict_frames(model: MlpModel, seq) -> np.ndarray:
-    """Per-frame argmax label; ties break to the lowest class index."""
-    frames = seq.frames if isinstance(seq, FeatureSequence) else np.atleast_2d(seq)
-    _, post = forward(model, frames)
+def predict_frames(model: MlpModel, frames: np.ndarray) -> np.ndarray:
+    """Per-frame argmax label of an N x D frame matrix; ties break to the
+    lowest class index."""
+    _, post = forward(model, np.atleast_2d(frames))
     return post.argmax(axis=1)
 

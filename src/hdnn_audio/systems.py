@@ -99,7 +99,7 @@ class System:
         """Per-frame labels of a normalized MFCC sequence."""
         x = self.features(seq)
         if isinstance(self.model, mlp.MlpModel):
-            return mlp.predict_frames(self.model, x)
+            return mlp.predict_frames(self.model, x.frames)
         if isinstance(self.model, hierarchy.CascadeModel):
             return hierarchy.classify(self.model, x)
         return gmm.classify_frames(self.model, x.frames)

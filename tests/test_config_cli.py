@@ -97,6 +97,14 @@ class TestFingerprint:
         c = load_config(None, ["seed=1"])
         assert fingerprint(c) != fingerprint(a)
 
+    def test_int_for_a_float_has_the_float_fingerprint(self):
+        as_int = load_config(None, ["nn.schedule.initial_lr=1", "synth.noise_db=-30"])
+        as_float = load_config(None, ["nn.schedule.initial_lr=1.0",
+                                      "synth.noise_db=-30.0"])
+        assert as_int == as_float
+        assert isinstance(as_int.nn.schedule.initial_lr, float)
+        assert fingerprint(as_int) == fingerprint(as_float)
+
     def test_snapshot_round_trips(self, tmp_path):
         cfg = load_config(None, ["context.width=17", "context.dct_keep_per_band=9",
                                  "seed=5"])

@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+import scipy.signal
 from hypothesis import given, settings, strategies as st
 
+from hdnn_audio import data
 from hdnn_audio.data import (AnnotatedSegment, SynthConfig, concept_families,
                              concept_table, generate_synthetic_corpus,
                              load_annotations, load_segment_audio,
@@ -148,6 +150,13 @@ class TestSynthesis:
             assert np.all(np.isfinite(sig))
             assert np.abs(sig).max() <= 1.0
             assert np.abs(sig).max() > 1e-4  # not silence
+
+    def test_bandpass_design_is_one_read_only_array_per_band(self):
+        first = data._bandpass_sos(300.0, 1200.0, 16000)
+        assert data._bandpass_sos(300.0, 1200.0, 16000) is first
+        assert not first.flags.writeable
+        np.testing.assert_array_equal(first, scipy.signal.butter(
+            4, [300.0, 1200.0], btype="bandpass", fs=16000, output="sos"))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -103,6 +103,18 @@ class TestMelFilterbank:
         assert np.all(np.diff(centers) > 0)
 
 
+class TestCachedArrays:
+    @pytest.mark.parametrize("cached, fresh, arg", [
+        (features._cached_fbank, mel_filterbank, 16000),
+        (features._cached_hamming, periodic_hamming, 400),
+    ])
+    def test_one_read_only_array_per_argument(self, cached, fresh, arg):
+        first = cached(arg)
+        assert cached(arg) is first
+        assert not first.flags.writeable
+        np.testing.assert_array_equal(first, fresh(arg))
+
+
 class TestMfcc:
     def test_vector_layout(self, tone_clip):
         seq = mfcc_sequence(tone_clip)

@@ -26,9 +26,14 @@ def random_gmm(rng, k=3, d=4):
                    variances=rng.random((k, d)) + 0.5)
 
 
+def component_log_densities(model, data):
+    """N x K ln(w_k N(x | mu_k, diag sigma_k)), by the scoring routine."""
+    return gmm._log_densities(gmm._density_terms(model), data, np.square(data))
+
+
 def log_likelihoods(model, data):
     """Per-frame ln p(x): log-sum-exp of the per-component densities."""
-    return gmm.logsumexp(gmm._component_log_densities(model, data))
+    return gmm.logsumexp(component_log_densities(model, data))
 
 
 def two_cluster_data(rng, n=400, d=3):
@@ -174,9 +179,9 @@ def random_bank(rng, d, k=64, num_concepts=8):
 
 def per_concept_llrs(bank, frames):
     """The scorer before stacking: one scipy log-sum-exp per model."""
-    ubm_ll = logsumexp(gmm._component_log_densities(bank.ubm, frames), axis=1)
+    ubm_ll = logsumexp(component_log_densities(bank.ubm, frames), axis=1)
     return np.stack([
-        logsumexp(gmm._component_log_densities(bank.concept_models[l], frames),
+        logsumexp(component_log_densities(bank.concept_models[l], frames),
                   axis=1) - ubm_ll
         for l in bank.labels], axis=1)
 
@@ -265,8 +270,13 @@ class TestLogLikelihoods:
                                    logsumexp(per_comp, axis=1), rtol=1e-10)
 
     def test_dim_mismatch(self, rng):
-        with pytest.raises(DimensionMismatch):
-            log_likelihoods(random_gmm(rng), rng.standard_normal((5, 3)))
+        data = rng.standard_normal((5, 3))
+        for k in (3, 8):  # adaptation by full EM, and of the means only
+            ubm = random_gmm(rng, k=k, d=4)
+            with pytest.raises(DimensionMismatch):
+                em_train(ubm, data, iterations=1)
+            with pytest.raises(DimensionMismatch):
+                adapt_concept(ubm, data, iterations=1)
 
 
 class TestEm:
@@ -312,8 +322,8 @@ class TestEm:
 
 
 class TestEStep:
-    """The E-step helper against the densities and responsibilities it
-    replaces in EM."""
+    """The E-step against the oracle densities, scipy's log-sum-exp and
+    np.exp, with the subnormal responsibilities set to 0."""
 
     @pytest.mark.parametrize("n", [341, 2125])
     @pytest.mark.parametrize("d, spread", [(42, 3.0), (294, 1.5)])
@@ -323,8 +333,11 @@ class TestEStep:
         model.means *= spread  # components far enough apart for 0 responsibilities
         data = model.means[rng.integers(64, size=n)] + rng.standard_normal((n, d))
         sq = np.square(data)
-        want_dens = gmm._component_log_densities(model, data, sq)
-        want_resp, want_total = gmm._responsibilities(want_dens.copy())
+        want_dens = parent_component_log_densities(model, data)
+        want_total = logsumexp(want_dens, axis=1)
+        log_resp = want_dens - want_total[:, None]
+        want_resp = np.exp(log_resp)
+        want_resp[log_resp < gmm.RESP_LOG_FLOOR] = 0.0
         # the masks are exercised: dropped, subnormal-free and kept terms
         assert (want_resp == 0.0).any()
         assert ((want_resp > 0.0) & (want_resp < 1.0)).any()
@@ -584,8 +597,9 @@ class TestSubnormalFreeEm:
         sq = clusters ** 2
         for model in (init, random_gmm(np.random.default_rng(2), k=8, d=70)):
             want = parent_component_log_densities(model, clusters)
-            assert_bitwise_equal(gmm._component_log_densities(model, clusters, sq), want)
-            assert_bitwise_equal(gmm._component_log_densities(model, clusters), want)
+            assert_bitwise_equal(
+                gmm._log_densities(gmm._density_terms(model), clusters, sq), want)
+            assert_bitwise_equal(component_log_densities(model, clusters), want)
 
     def test_kmeans_pp_init(self, clusters, init):
         assert_same_gmm(kmeans_pp_init(clusters, 8, np.random.default_rng(0)), init)
