@@ -2,9 +2,9 @@
 validated strictly before any work starts.
 
 The sections are the library's own runtime dataclasses. Every value is
-checked against its field's type hint (unknown keys rejected), then by
-the dataclass's own ``__post_init__``. Every ``rng_seed`` follows the
-top-level ``seed`` and cannot be set.
+checked against its field's type hint (unknown keys and non-finite
+floats rejected), then by the dataclass's own ``__post_init__``. Every
+``rng_seed`` follows the top-level ``seed`` and cannot be set.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import sys
 import types
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -130,8 +131,13 @@ def _check(hint, value, path):
     accepted = (int, float) if hint is float else (hint,)
     if isinstance(value, bool) != (hint is bool) or not isinstance(value, accepted):
         raise ConfigError(f"{path}: expected {hint.__name__}, got {value!r}")
+    if hint is not float:
+        return value
+    # False for NaN and inf, and exact for an int too large for a float
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{path}: expected a finite float, got {value!r}")
     # a float, not the int read: equal configs get equal fingerprints
-    return float(value) if hint is float else value
+    return float(value)
 
 
 def _from_dict(cls, data, path="config"):

@@ -8,10 +8,13 @@ over a model's density terms (``_DensityTerms``). A ``GmmConceptBank``
 computes its models' terms once, at its first scoring, and scoring
 writes each model's N x K densities from them into one model-major
 (C+1) x N x K buffer; EM's E-step (``_e_step``) builds them from the
-model in every iteration. The cached K x D terms go into the products
-transposed, into C-contiguous N x K outputs, as when they were computed
-per call: OpenBLAS picks its kernel, and with it the rounding, by the
-shape and layout of a product, so the scores keep their bits.
+model in every iteration and writes into two N x K buffers per EM run,
+``dens`` and ``resp``; ``resp`` is the log-sum-exp's scratch array until
+the responsibilities are written into it. The cached K x D terms go into
+the products transposed, into C-contiguous N x K outputs, as when they
+were computed per call: OpenBLAS picks its kernel, and with it the
+rounding, by the shape and layout of a product, so the scores keep their
+bits.
 
 With 64 components on up to 294 dimensions, most component log densities
 of a frame sit hundreds of nats below its best one. Slow paths of NumPy
@@ -143,9 +146,11 @@ def _log_densities(terms: _DensityTerms, data: np.ndarray, sq: np.ndarray,
     return np.subtract(terms.log_weight_const, quad, out=quad)
 
 
-def logsumexp(a: np.ndarray) -> np.ndarray:
+def logsumexp(a: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """ln sum(exp(a)) over the last axis, with the arithmetic of
     ``scipy.special.logsumexp(a, axis=-1)`` and bitwise equal to it.
+    ``work``, an array of ``a``'s shape allocated here by default and not
+    ``a`` itself, takes the differences a - max; ``a`` is only read.
 
     The maxima are counted and taken out of the sum, so the result is
     log1p(s / m) + ln m + max with s the sum of the other terms. Rows
@@ -159,7 +164,7 @@ def logsumexp(a: np.ndarray) -> np.ndarray:
         a_max = a.max(axis=-1, keepdims=True)
         is_max = a == a_max
         m = is_max.sum(axis=-1, keepdims=True, dtype=np.float64)
-        e = np.subtract(a, a_max)
+        e = np.subtract(a, a_max, out=work)
         is_max |= e < EXP_ZERO_BELOW
         s = _exp_except(e, is_max).sum(axis=-1, keepdims=True)
         s = np.where(s == 0, s, s / m)
@@ -189,9 +194,11 @@ def _e_step(gmm: DiagGmm, data: np.ndarray, sq: np.ndarray, dens: np.ndarray,
     and the responsibilities into ``resp``, N x K buffers that EM
     allocates once per run, with ``sq`` the run's ``data ** 2``; the
     responsibilities below exp(RESP_LOG_FLOOR) are set to 0 (see the
-    module docstring). Returns the per-frame ln p(x)."""
+    module docstring). ``resp`` is free until the responsibilities are
+    written, so it is the scratch array of the densities' second product
+    and of the log-sum-exp. Returns the per-frame ln p(x)."""
     _log_densities(_density_terms(gmm), data, sq, out=dens, work=resp)
-    total = logsumexp(dens)
+    total = logsumexp(dens, work=resp)
     np.subtract(dens, total[:, None], out=resp)
     _exp_except(resp, resp < RESP_LOG_FLOOR)
     return total
@@ -231,7 +238,8 @@ def em_train(init: DiagGmm, data: np.ndarray, iterations: int,
     global_var = np.maximum(data_var, var_floor)
     ll_history: list[float] = []
     sq = np.square(data)  # shared by every E- and M-step
-    # two N x K arrays: one 2 x N x K array raised the peak RSS
+    # two N x K arrays, and the E-step's log-sum-exp works in ``resp``:
+    # one 2 x N x K array raised the peak RSS
     dens = np.empty((n, gmm.num_components))
     resp = np.empty_like(dens)
     for _ in range(iterations):

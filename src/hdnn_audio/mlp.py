@@ -74,6 +74,8 @@ class TrainSchedule:
             raise ValueError("need 0 <= min_epochs <= max_epochs")
         if self.minibatch_frames < 1:
             raise ValueError("minibatch_frames must be positive")
+        if not self.initial_lr > 0:
+            raise ValueError(f"initial_lr must be positive, got {self.initial_lr}")
 
 
 @dataclass
@@ -112,7 +114,7 @@ class NewbobSchedule:
         return stop
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function that never overflows: with e = exp(-|z|), it is
     max(e, z >= 0) / (1 + e), one exp per entry.
 
@@ -120,15 +122,28 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     exp(z)/(1+exp(z)) for z < 0, without gathering either branch: the
     numerator is 1 for z >= 0 (-0.0 included), since e <= 1, and e =
     exp(z) for z < 0. NaN stays NaN.
+
+    The result is written into ``out``, a float64 array of ``z``'s shape
+    allocated here by default; ``out`` may be ``z`` itself, which the
+    callers that own ``z`` pass, so that only 1 + e is allocated.
     """
-    e = np.exp(-np.abs(z))
-    return np.maximum(e, z >= 0) / (1.0 + e)
+    pos = z >= 0
+    e = np.abs(z, out=out)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    d = e + 1.0
+    # the numerator built with np.copyto(e, 1.0, where=pos) has the same
+    # bits but is about 2.5 times slower
+    np.maximum(e, pos, out=e)
+    return np.divide(e, d, out=e)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    ez = np.exp(shifted)
-    return ez / ez.sum(axis=1, keepdims=True)
+    """Row softmax of ``z``, written over ``z``."""
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def init_random(layer_dims: list[int], rng: np.random.Generator) -> MlpModel:
@@ -155,12 +170,14 @@ def forward(model: MlpModel, batch: np.ndarray) -> tuple[list[np.ndarray], np.nd
             f"batch dim {batch.shape[1]} != model input {model.input_dim}")
     activations = [batch]
     a = batch
-    for layer in model.layers[:-1]:
-        a = sigmoid(a @ layer.weights.T + layer.bias)
+    last = len(model.layers) - 1
+    for i, layer in enumerate(model.layers):
+        # each layer's output is one array: its product, biased and then
+        # activated in place
+        z = a @ layer.weights.T
+        z += layer.bias
+        a = _softmax(z) if i == last else sigmoid(z, out=z)
         activations.append(a)
-    last = model.layers[-1]
-    a = _softmax(a @ last.weights.T + last.bias)
-    activations.append(a)
     return activations, a
 
 
@@ -189,8 +206,10 @@ def backprop_step(model: MlpModel, batch: np.ndarray, labels: np.ndarray,
         if not (np.isfinite(grad_w).all() and np.isfinite(grad_b).all()):
             raise NonFiniteGradient(f"non-finite gradient at layer {i}")
     for layer, (grad_w, grad_b) in zip(model.layers, grads):
-        layer.weights -= lr * grad_w
-        layer.bias -= lr * grad_b
+        grad_w *= lr
+        layer.weights -= grad_w
+        grad_b *= lr
+        layer.bias -= grad_b
     return loss
 
 
@@ -206,17 +225,21 @@ def _loss_and_gradients(model: MlpModel, batch: np.ndarray, labels: np.ndarray
     activations, posteriors = forward(model, batch)
     labels = np.asarray(labels)
     loss = cross_entropy(posteriors, labels)
-    # softmax + cross-entropy: (posteriors - onehot) / batch size
-    delta = posteriors.copy()
+    # softmax + cross-entropy: (posteriors - onehot) / batch size, over
+    # the posteriors, which nothing reads after the loss
+    delta = posteriors
     delta[np.arange(len(labels)), labels] -= 1.0
-    delta /= posteriors.shape[0]
+    delta /= delta.shape[0]
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(model.layers)
     for i in reversed(range(len(model.layers))):
         grads[i] = (delta.T @ activations[i], delta.sum(axis=0))
         if i > 0:
             # sigmoid derivative expressed through the activation itself
             a = activations[i]
-            delta = (delta @ model.layers[i].weights) * (a * (1.0 - a))
+            slope = np.subtract(1.0, a)
+            slope *= a
+            delta = delta @ model.layers[i].weights
+            delta *= slope
     return loss, grads
 
 

@@ -75,18 +75,25 @@ def init_rbm(kind: RbmKind, num_visible: int, num_hidden: int,
                     hidden_bias=np.zeros(num_hidden))
 
 
-def hidden_probabilities(rbm: RbmModel, visible: np.ndarray) -> np.ndarray:
+def hidden_probabilities(rbm: RbmModel, visible: np.ndarray,
+                         out: np.ndarray | None = None) -> np.ndarray:
+    """B x H hidden probabilities of a B x V batch, written into ``out``
+    (allocated here by default): the product, then the bias and the
+    sigmoid in place."""
     if visible.shape[1] != rbm.num_visible:
         raise DimensionMismatch(
             f"batch dim {visible.shape[1]} != visible units {rbm.num_visible}")
-    return sigmoid(visible @ rbm.weights.T + rbm.hidden_bias)
+    pre = np.matmul(visible, rbm.weights.T, out=out)
+    pre += rbm.hidden_bias
+    return sigmoid(pre, out=pre)
 
 
 def visible_mean(rbm: RbmModel, hidden: np.ndarray) -> np.ndarray:
-    pre = hidden @ rbm.weights + rbm.visible_bias
+    pre = hidden @ rbm.weights
+    pre += rbm.visible_bias
     if rbm.kind is RbmKind.GAUSSIAN_BERNOULLI:
         return pre
-    return sigmoid(pre)
+    return sigmoid(pre, out=pre)
 
 
 def cd1_step(rbm: RbmModel, batch: np.ndarray, lr: float,
@@ -95,24 +102,30 @@ def cd1_step(rbm: RbmModel, batch: np.ndarray, lr: float,
 
     Positive phase uses hidden probabilities; the negative phase samples
     hidden units binary, reconstructs visibles as their mean, and takes
-    one more hidden pass.
+    one more hidden pass. Every gradient is checked before any array is
+    updated, so a NonFiniteUpdate leaves the RBM unchanged.
     """
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     b = batch.shape[0]
     h_pos = hidden_probabilities(rbm, batch)
-    h_sample = (rng.random(h_pos.shape) < h_pos).astype(np.float64)
+    # the binary sample is written over its uniform draws
+    h_sample = rng.random(h_pos.shape)
+    np.less(h_sample, h_pos, out=h_sample)
     v_neg = visible_mean(rbm, h_sample)
     h_neg = hidden_probabilities(rbm, v_neg)
 
-    grad_w = (h_pos.T @ batch - h_neg.T @ v_neg) / b
-    grad_vb = (batch - v_neg).mean(axis=0)
-    grad_hb = (h_pos - h_neg).mean(axis=0)
+    grad_w = h_pos.T @ batch
+    grad_w -= h_neg.T @ v_neg
+    grad_w /= b
+    grad_vb = np.subtract(batch, v_neg, out=v_neg).mean(axis=0)
+    grad_hb = np.subtract(h_pos, h_neg, out=h_neg).mean(axis=0)
     if not (np.isfinite(grad_w).all() and np.isfinite(grad_vb).all()
             and np.isfinite(grad_hb).all()):
         raise NonFiniteUpdate("non-finite CD-1 update")
-    rbm.weights += lr * grad_w
-    rbm.visible_bias += lr * grad_vb
-    rbm.hidden_bias += lr * grad_hb
+    for param, grad in ((rbm.weights, grad_w), (rbm.visible_bias, grad_vb),
+                        (rbm.hidden_bias, grad_hb)):
+        grad *= lr
+        param += grad
     return rbm
 
 
@@ -120,7 +133,10 @@ def reconstruction_error(rbm: RbmModel, batch: np.ndarray) -> float:
     """Mean squared error of the one-step mean-field reconstruction."""
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     recon = visible_mean(rbm, hidden_probabilities(rbm, batch))
-    return float(np.mean((batch - recon) ** 2))
+    # (recon - batch)^2 has the bits of (batch - recon)^2
+    recon -= batch
+    recon *= recon
+    return float(np.mean(recon))
 
 
 def train_rbm(rbm: RbmModel, data: np.ndarray, lr: float, epochs: int,
@@ -176,11 +192,11 @@ def _blocked_hidden_probabilities(rbm: RbmModel, visible: np.ndarray,
     """``hidden_probabilities`` of every row, UPPER_INPUT_ROW_BLOCK rows
     at a time, written into ``out``, an N x H array allocated here by
     default. Each row's result depends on that row alone, so the bits are
-    those of the one-shot pass, and ``out`` may be ``visible`` itself: a
-    block's rows are read before they are written."""
+    those of the one-shot pass, and ``out`` may be ``visible`` itself:
+    NumPy buffers a product whose output overlaps its input."""
     if out is None:
         out = np.empty((visible.shape[0], rbm.num_hidden))
     for start in range(0, visible.shape[0], UPPER_INPUT_ROW_BLOCK):
         stop = start + UPPER_INPUT_ROW_BLOCK
-        out[start:stop] = hidden_probabilities(rbm, visible[start:stop])
+        hidden_probabilities(rbm, visible[start:stop], out=out[start:stop])
     return out

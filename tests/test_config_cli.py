@@ -475,6 +475,9 @@ BAD_VALUES = [
     "nn.hidden_dims=[0]", "nn.schedule.minibatch_frames=0",
     "pretrain.minibatch=0", "gmm.num_components=0", "train_fraction=1.5",
     "nn.schedule.min_epochs=51",  # above the default max_epochs of 50
+    "nn.schedule.initial_lr=.nan", "nn.schedule.initial_lr=.inf",
+    "nn.schedule.initial_lr=0", "nn.schedule.initial_lr=-1", "synth.noise_db=.nan",
+    "synth.clip_seconds_range=[.nan, 1.0]",
 ]
 # recipe values that are module constants (mlp.CV_FRACTION, rbm.GB_LR, ...)
 # and stage 2's schedule, which is nn.schedule: each is an unknown key

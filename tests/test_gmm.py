@@ -79,6 +79,12 @@ class TestLogsumexp:
         a = np.stack([rows, rows[::-1], rng.standard_normal(rows.shape) * 60.0])
         assert_bitwise_equal(gmm.logsumexp(a), logsumexp(a, axis=-1))
 
+    def test_work_array_takes_the_differences(self, rng):
+        a = np.vstack([special_rows(rng), rng.standard_normal((40, 16)) * 20.0])
+        work = np.empty_like(a)
+        assert_bitwise_equal(gmm.logsumexp(a, work=work), logsumexp(a, axis=-1))
+        assert not np.array_equal(work, a, equal_nan=True)
+
     def test_edge_values(self, rng):
         out = gmm.logsumexp(special_rows(rng))
         assert out[3] == -np.inf
@@ -232,6 +238,24 @@ class TestStackedScoring:
             with pytest.raises(DimensionMismatch):
                 log_likelihood_ratios(bank, np.zeros(shape))
 
+    def test_leaves_read_only_inputs_unwritten(self, rng):
+        # a write into the frames, the models or the densities raises on
+        # these read-only arrays
+        bank = random_bank(rng, d=6, k=4, num_concepts=3)
+        frames = rng.standard_normal((50, 6))
+        dens = component_log_densities(bank.ubm, frames)
+        want = log_likelihood_ratios(bank, frames), gmm.logsumexp(dens)
+        bank = GmmConceptBank(bank.ubm.copy(), {l: m.copy() for l, m in
+                                                bank.concept_models.items()},
+                              bank.labels)
+        for model in [bank.ubm, *bank.concept_models.values()]:
+            for arr in (model.weights, model.means, model.variances):
+                arr.flags.writeable = False
+        for arr in (frames, dens):
+            arr.flags.writeable = False
+        assert_bitwise_equal(log_likelihood_ratios(bank, frames), want[0])
+        assert_bitwise_equal(gmm.logsumexp(dens), want[1])
+
     def test_density_terms_built_once_per_bank(self, rng, monkeypatch):
         built = []
         density_terms = gmm._density_terms
@@ -346,6 +370,18 @@ class TestEStep:
         assert_bitwise_equal(dens, want_dens)
         assert_bitwise_equal(resp, want_resp)
         assert_bitwise_equal(total, want_total)
+
+    def test_holds_no_n_by_k_temporary(self, traced_peak_bytes):
+        rng = np.random.default_rng(3)
+        n, k, d = 4000, 64, 42
+        model = random_gmm(rng, k=k, d=d)
+        data = model.means[rng.integers(k, size=n)] + rng.standard_normal((n, d))
+        sq = np.square(data)
+        dens, resp = np.empty((2, n, k))
+        peak = traced_peak_bytes(lambda: gmm._e_step(model, data, sq, dens, resp))
+        # the log-sum-exp works in ``resp``; what is left are N x K masks
+        # of one byte an entry
+        assert peak < 0.5 * n * k * 8
 
 
 class TestExpExcept:

@@ -43,6 +43,26 @@ class TestForward:
         with pytest.raises(DimensionMismatch):
             forward(model, rng.standard_normal((3, 5)))
 
+    def test_leaves_read_only_inputs_unwritten(self, rng):
+        # every array forward writes is its own: a write into the batch or
+        # the model raises on these read-only arrays
+        model = small_model(rng, dims=(4, 6, 5, 3))
+        batch = rng.standard_normal((10, 4))
+        want = forward(model, batch)[1]
+        for arr in [batch] + [a for l in model.layers for a in (l.weights, l.bias)]:
+            arr.flags.writeable = False
+        acts, post = forward(model, batch)
+        np.testing.assert_array_equal(post.view(np.uint64), want.view(np.uint64))
+        assert acts[0] is batch and all(a.flags.writeable for a in acts[1:])
+
+    def test_holds_one_array_per_layer_and_one_temporary(self, rng, traced_peak_bytes):
+        b, h = 1024, 256
+        model = init_random([64, h, h, 8], np.random.default_rng(0))
+        batch = rng.standard_normal((b, 64))
+        peak = traced_peak_bytes(lambda: forward(model, batch))
+        # two B x H activations, the sigmoid's 1 + e and its z >= 0 mask
+        assert peak < 3.5 * b * h * 8
+
     def test_extreme_logits_are_stable(self):
         w = np.array([[1000.0], [-1000.0]])
         model = MlpModel([Layer(weights=w, bias=np.zeros(2))])
@@ -208,21 +228,40 @@ class TestSigmoid:
     EXTREMES = np.array([0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 709.0,
                          -709.0, 745.0, -745.0, 1e308, -1e308])
 
-    @pytest.mark.parametrize("shape", [(1, 1), (16, 256), (128, 686)])
-    def test_bitwise_equal_to_two_branch_form(self, rng, shape):
+    @staticmethod
+    def apply(z, in_place):
+        """sigmoid(z) with out=None, which must leave z as it was, or
+        with out=z, which must return z."""
+        if in_place:
+            got = sigmoid(z, out=z)
+            assert got is z
+            return got
+        kept = z.copy()
+        got = sigmoid(z)
+        np.testing.assert_array_equal(z.view(np.uint64), kept.view(np.uint64))
+        return got
+
+    @pytest.mark.parametrize("shape, in_place", [
+        pytest.param(shape, in_place, id=f"shape{i}" + ("-out_z" if in_place else ""))
+        for in_place in (False, True)
+        for i, shape in enumerate([(1, 1), (16, 256), (128, 686)])])
+    def test_bitwise_equal_to_two_branch_form(self, rng, shape, in_place):
         z = rng.normal(0.0, 20.0, size=shape)
+        want = two_branch_sigmoid(z)
         with np.errstate(all="raise"):
-            got, want = sigmoid(z), two_branch_sigmoid(z)
+            got = self.apply(z, in_place)
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_extremes_bitwise_equal_to_two_branch_form(self):
         # exp(-|z|) underflows for |z| >= 709 in both forms, which is
         # benign; overflow, invalid and divide-by-zero must not occur
-        with np.errstate(all="raise", under="ignore"):
-            got = sigmoid(self.EXTREMES)
-            want = two_branch_sigmoid(self.EXTREMES)
-        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert got[-2] == 1.0 and got[-1] == 0.0
+        for in_place in (False, True):
+            z = self.EXTREMES.copy()
+            with np.errstate(all="raise", under="ignore"):
+                want = two_branch_sigmoid(z)
+                got = self.apply(z, in_place)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert got[-2] == 1.0 and got[-1] == 0.0
 
     def test_nan_stays_nan(self):
         assert np.isnan(sigmoid(np.array([np.nan, 1.0, np.nan]))[[0, 2]]).all()
@@ -283,6 +322,9 @@ class TestNewbob:
             TrainSchedule(min_epochs=31, max_epochs=30)
         with pytest.raises(ValueError):
             TrainSchedule(minibatch_frames=0)
+        for lr in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="initial_lr"):
+                TrainSchedule(initial_lr=lr)
         TrainSchedule(min_epochs=30, max_epochs=30)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hdnn_audio import rbm
-from hdnn_audio.errors import DimensionMismatch
+from hdnn_audio.errors import DimensionMismatch, NonFiniteUpdate
 from hdnn_audio.rbm import (PretrainConfig, RbmKind, cd1_step,
                             hidden_probabilities, init_rbm, pretrain_stack,
                             reconstruction_error, train_rbm, visible_mean)
@@ -50,6 +50,41 @@ class TestUnits:
         with pytest.raises(DimensionMismatch):
             hidden_probabilities(model, rng.standard_normal((3, 9)))
 
+    def test_leave_read_only_inputs_unwritten(self, rng):
+        # each returns an array of its own: a write into the batch or the
+        # model raises on these read-only arrays
+        for kind in RbmKind:
+            model = init_rbm(kind, 8, 4, rng)
+            batch = rng.random((20, 8))
+            hidden = rng.random((20, 4))
+            want = (hidden_probabilities(model, batch), visible_mean(model, hidden),
+                    reconstruction_error(model, batch))
+            for arr in (batch, hidden, model.weights, model.visible_bias,
+                        model.hidden_bias):
+                arr.flags.writeable = False
+            got = (hidden_probabilities(model, batch), visible_mean(model, hidden),
+                   reconstruction_error(model, batch))
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(np.asarray(g).view(np.uint64),
+                                              np.asarray(w).view(np.uint64))
+
+    def test_hidden_probabilities_hold_one_temporary(self, rng, traced_peak_bytes):
+        b, v, h = 1024, 128, 256
+        model = init_rbm(RbmKind.BERNOULLI_BERNOULLI, v, h, rng)
+        batch = rng.random((b, v))
+        peak = traced_peak_bytes(lambda: hidden_probabilities(model, batch))
+        # the B x H result, the sigmoid's 1 + e and its z >= 0 mask
+        assert peak < 2.5 * b * h * 8
+
+    def test_reconstruction_error_squares_in_place(self, rng, traced_peak_bytes):
+        b, v, h = 1024, 256, 128
+        model = init_rbm(RbmKind.GAUSSIAN_BERNOULLI, v, h, rng)
+        batch = rng.standard_normal((b, v))
+        peak = traced_peak_bytes(lambda: reconstruction_error(model, batch))
+        # the B x H hidden probabilities and the B x V reconstruction,
+        # whose error is squared where it is
+        assert peak < 2.0 * b * v * 8
+
 
 class TestTraining:
     def test_cd1_updates_in_place(self, rng):
@@ -58,6 +93,20 @@ class TestTraining:
         out = cd1_step(model, correlated_data(rng, n=64), lr=0.01, rng=rng)
         assert out is model
         assert not np.allclose(model.weights, before)
+
+    def test_non_finite_update_leaves_the_rbm_unchanged(self, rng):
+        model = init_rbm(RbmKind.GAUSSIAN_BERNOULLI, 12, 6, rng)
+        model.visible_bias[:] = rng.standard_normal(12)
+        model.hidden_bias[:] = rng.standard_normal(6)
+        kept = [a.copy() for a in (model.weights, model.visible_bias,
+                                   model.hidden_bias)]
+        batch = correlated_data(rng, n=64)
+        batch[3, 5] = np.inf
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteUpdate):
+            cd1_step(model, batch, lr=0.01, rng=rng)
+        for got, want in zip((model.weights, model.visible_bias,
+                              model.hidden_bias), kept):
+            np.testing.assert_array_equal(got, want)
 
     def test_reconstruction_error_drops_on_structured_data(self, rng):
         data = correlated_data(rng)
