@@ -13,6 +13,7 @@ ln(1e-10), orthonormal DCT-II, 13 cepstra.
 from __future__ import annotations
 
 import functools
+import struct
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -21,7 +22,7 @@ import scipy.fft
 import scipy.io.wavfile
 import scipy.signal
 
-from .errors import ClipTooShort, DimensionMismatch, EmptyInput
+from .errors import ClipTooShort, DataError, DimensionMismatch, EmptyInput
 
 CANONICAL_SAMPLE_RATE = 16000
 PREEMPHASIS = 0.97
@@ -101,8 +102,12 @@ def load_wav(path) -> AudioClip:
     """Load a PCM WAV file as a mono clip at the canonical 16 kHz rate.
 
     Stereo files are averaged to mono; other sample rates are resampled.
+    A file SciPy cannot parse raises DataError naming ``path``.
     """
-    rate, data = scipy.io.wavfile.read(path)
+    try:
+        rate, data = scipy.io.wavfile.read(path)
+    except (ValueError, struct.error) as exc:
+        raise DataError(f"{path}: unreadable WAV file: {exc}") from exc
     if data.dtype == np.int16:
         samples = data.astype(np.float64) / 32768.0
     elif data.dtype == np.int32:
@@ -169,13 +174,13 @@ def mfcc_sequence(clip: AudioClip) -> FeatureSequence:
     signal (25 ms windows every 10 ms); a trailing partial frame is
     discarded, and a clip shorter than one frame raises ClipTooShort.
     """
-    emphasized = np.append(clip.samples[0],
-                           clip.samples[1:] - PREEMPHASIS * clip.samples[:-1])
     win = int(round(FRAME_LENGTH_MS * clip.sample_rate / 1000.0))
     hop = int(round(FRAME_SHIFT_MS * clip.sample_rate / 1000.0))
-    if len(emphasized) < win:
-        raise ClipTooShort(f"clip of {len(emphasized)} samples cannot fit one "
+    if len(clip.samples) < win:
+        raise ClipTooShort(f"clip of {len(clip.samples)} samples cannot fit one "
                            f"{win}-sample frame")
+    emphasized = np.append(clip.samples[0],
+                           clip.samples[1:] - PREEMPHASIS * clip.samples[:-1])
     # a strided view of the signal; the products below copy it
     raw_frames = np.lib.stride_tricks.sliding_window_view(emphasized, win)[::hop]
     raw_energy = np.sum(raw_frames ** 2, axis=1)

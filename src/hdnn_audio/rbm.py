@@ -4,6 +4,8 @@ hidden layers of the first-stage deep network.
 The bottom RBM is Gaussian-Bernoulli over the normalized real-valued
 features (unit-variance visibles, mean reconstruction); the stacked
 RBMs above it are Bernoulli-Bernoulli over hidden probabilities.
+``pretrain_stack`` consumes its training matrix: each upper RBM's input
+is written over the buffer of the input below it whenever it fits.
 """
 
 from __future__ import annotations
@@ -167,6 +169,11 @@ def pretrain_stack(hidden_dims: list[int], data: np.ndarray,
     The first RBM is Gaussian-Bernoulli on the data; the rest are
     Bernoulli-Bernoulli on the previous layer's hidden probabilities.
     The softmax output layer is left to random initialization.
+
+    ``data`` is overwritten when it is a writeable C-contiguous float64
+    array: each upper RBM's N x H input is written over the first N x H
+    elements of the buffer of the N x W input below it whenever H <= W,
+    and is allocated only when H > W.
     """
     rng = np.random.default_rng(config.rng_seed)
     layer_input = np.asarray(data, dtype=np.float64)
@@ -176,10 +183,13 @@ def pretrain_stack(hidden_dims: list[int], data: np.ndarray,
             kind, lr, epochs = RbmKind.GAUSSIAN_BERNOULLI, GB_LR, config.gb_epochs
         else:
             # the RBM below is trained; its hidden probabilities feed this
-            # one, over its own input when that is as wide and not ``data``
-            in_place = i > 1 and rbm.num_hidden == layer_input.shape[1]
-            layer_input = _blocked_hidden_probabilities(
-                rbm, layer_input, out=layer_input if in_place else None)
+            # one, as a C-contiguous prefix of its own input when they fit
+            n, w = layer_input.shape
+            out = None
+            if rbm.num_hidden <= w and layer_input.flags.carray:
+                out = layer_input.reshape(-1)[:n * rbm.num_hidden].reshape(
+                    n, rbm.num_hidden)
+            layer_input = _blocked_hidden_probabilities(rbm, layer_input, out=out)
             kind, lr, epochs = RbmKind.BERNOULLI_BERNOULLI, BB_LR, config.bb_epochs
         rbm = init_rbm(kind, layer_input.shape[1], h, rng)
         train_rbm(rbm, layer_input, lr, epochs, config.minibatch, rng)
@@ -192,8 +202,10 @@ def _blocked_hidden_probabilities(rbm: RbmModel, visible: np.ndarray,
     """``hidden_probabilities`` of every row, UPPER_INPUT_ROW_BLOCK rows
     at a time, written into ``out``, an N x H array allocated here by
     default. Each row's result depends on that row alone, so the bits are
-    those of the one-shot pass, and ``out`` may be ``visible`` itself:
-    NumPy buffers a product whose output overlaps its input."""
+    those of the one-shot pass. ``out`` may share ``visible``'s buffer
+    as its C-contiguous prefix (H <= V): rows [s, e) are written below
+    element e * H <= e * V, so no unread row is touched, and NumPy
+    buffers a product whose output overlaps its input."""
     if out is None:
         out = np.empty((visible.shape[0], rbm.num_hidden))
     for start in range(0, visible.shape[0], UPPER_INPUT_ROW_BLOCK):

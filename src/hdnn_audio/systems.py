@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -135,19 +136,17 @@ def pool_frames(clips: list[tuple[FeatureSequence, int]],
 
 def train_network(x: np.ndarray, y: np.ndarray, hidden_dims: list[int],
                   num_classes: int, schedule: mlp.TrainSchedule,
-                  pretrain: rbm.PretrainConfig | None = None
+                  stack: Sequence[tuple[np.ndarray, np.ndarray]] = ()
                   ) -> tuple[mlp.MlpModel, list[mlp.EpochRecord]]:
     """The one recipe every network is built by: random init seeded by
-    ``schedule.rng_seed``, hidden layers replaced by an RBM stack
-    pre-trained on ``x`` when ``pretrain`` is set, then SGD fine-tuning.
-    Returns (model, per-epoch history)."""
+    ``schedule.rng_seed``, hidden layers replaced by ``stack``'s
+    pre-trained (weights, bias) pairs, bottom first, then SGD fine-tuning
+    on ``x``. Returns (model, per-epoch history)."""
     rng = np.random.default_rng(schedule.rng_seed)
     init = mlp.init_random([x.shape[1]] + hidden_dims + [num_classes], rng)
-    if pretrain is not None and hidden_dims:
-        stack = rbm.pretrain_stack(hidden_dims, x, pretrain)
-        for layer, (weights, bias) in zip(init.layers, stack):
-            layer.weights = weights
-            layer.bias = bias
+    for layer, (weights, bias) in zip(init.layers, stack):
+        layer.weights = weights
+        layer.bias = bias
     return mlp.train(init, (x, y), schedule)
 
 
@@ -156,7 +155,14 @@ def train_nn_system(corpus: PreparedCorpus, hidden_dims: list[int],
                     dct_keep: int | None = None,
                     pretrain: rbm.PretrainConfig | None = None):
     """Train a single MLP on context-windowed (optionally DCT-reduced)
-    features. Returns (system, system.classify, history)."""
+    features, its hidden layers pre-trained as an RBM stack first when
+    ``pretrain`` is set. Returns (system, system.classify, history).
+
+    Pre-training consumes the pooled training matrix, so the pool is
+    taken again, through the now normalizing front end, for fine-tuning:
+    one N x D matrix is live at a time, with the bits of the pool
+    normalized in place.
+    """
     system = System(labels=list(corpus.labels), mfcc_norm=corpus.norm,
                     width=width, dct_keep=dct_keep)
     # re-normalize the NN input stream: DCT/stacking changes per-dimension
@@ -165,8 +171,13 @@ def train_nn_system(corpus: PreparedCorpus, hidden_dims: list[int],
     system.input_norm = fit_norm_stats(x)
     x -= system.input_norm.mean
     x /= system.input_norm.std
+    stack = []
+    if pretrain is not None and hidden_dims:
+        stack = rbm.pretrain_stack(hidden_dims, x, pretrain)
+        del x  # freed first, or the two pools would be held at once
+        x, _ = pool_frames(corpus.train, system.features)
     system.model, history = train_network(x, y, hidden_dims, len(corpus.labels),
-                                          schedule, pretrain)
+                                          schedule, stack)
     return system, system.classify, history
 
 

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -187,6 +188,28 @@ class TestCli:
         rc = main(["--set", f"paths.corpus_dir={tmp_path / 'missing'}",
                    "--out-dir", str(tmp_path / "y"), "train-gmm"])
         assert rc == 3
+
+    def test_unreadable_wav_exits_3_naming_it(self, cli_corpus, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(cli_corpus, corpus)
+        bad = corpus / load_annotations(corpus / "annotations.csv")[0].clip_path
+        bad.write_bytes(b"RIFF\x10\x00\x00\x00garbage")
+        rc = main(["--set", f"paths.corpus_dir={corpus}",
+                   "--out-dir", str(tmp_path / "run"), "train-gmm"])
+        assert rc == 3
+        assert f"{bad}: unreadable WAV file" in capsys.readouterr().err
+
+    def test_segment_past_the_clip_end_exits_3(self, cli_corpus, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(cli_corpus, corpus)
+        rows = list(csv.reader((corpus / "annotations.csv").open(newline="")))
+        rows[1][1:3] = ["50.0", "51.0"]  # every synthetic clip is under a second
+        with (corpus / "annotations.csv").open("w", newline="") as f:
+            csv.writer(f).writerows(rows)
+        rc = main(["--set", f"paths.corpus_dir={corpus}",
+                   "--out-dir", str(tmp_path / "run"), "train-gmm"])
+        assert rc == 3
+        assert "clip of 0 samples" in capsys.readouterr().err
 
     def test_deterministic_reports(self, cli_corpus, tmp_path):
         reports = []

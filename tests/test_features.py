@@ -5,7 +5,7 @@ import scipy.io.wavfile
 from hypothesis import given, settings, strategies as st
 
 from hdnn_audio import features
-from hdnn_audio.errors import ClipTooShort, DimensionMismatch, EmptyInput
+from hdnn_audio.errors import ClipTooShort, DataError, DimensionMismatch, EmptyInput
 from hdnn_audio.features import (AudioClip, FeatureSequence,
                                  append_deltas, apply_norm, fit_norm_stats,
                                  invert_temporal_dct, load_wav, mel_filterbank,
@@ -42,8 +42,9 @@ class TestFraming:
         clip = AudioClip(samples=np.ones(400), sample_rate=16000)
         assert mfcc_sequence(clip).num_frames == 1
 
-    def test_too_short_raises(self):
-        clip = AudioClip(samples=np.ones(399), sample_rate=16000)
+    @pytest.mark.parametrize("num_samples", [0, 399])
+    def test_too_short_raises(self, num_samples):
+        clip = AudioClip(samples=np.ones(num_samples), sample_rate=16000)
         with pytest.raises(ClipTooShort):
             mfcc_sequence(clip)
 
@@ -326,6 +327,19 @@ class TestWavIo:
         clip = load_wav(tmp_path / "st.wav")
         assert clip.samples.ndim == 1
         np.testing.assert_allclose(clip.samples, 0.0, atol=1e-4)
+
+    @pytest.mark.parametrize("blob", [
+        b"hello, this is not audio at all",
+        b"RIFF\x10\x00\x00\x00garbage after the chunk size",
+        "truncated"], ids=["not_riff", "not_wave", "truncated"])
+    def test_unreadable_file_is_a_data_error(self, tmp_path, blob):
+        path = tmp_path / "bad.wav"
+        if blob == "truncated":
+            scipy.io.wavfile.write(path, 16000, np.zeros(800, dtype=np.int16))
+            blob = path.read_bytes()[:20]  # cut inside the fmt chunk
+        path.write_bytes(blob)
+        with pytest.raises(DataError, match="bad.wav: unreadable WAV file"):
+            load_wav(path)
 
     def test_resampled_to_canonical_rate(self, tmp_path):
         t = np.arange(8000) / 8000.0

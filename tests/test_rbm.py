@@ -178,34 +178,66 @@ class TestPretrainStack:
         stack = pretrain_stack([5], data, config)
         assert np.abs(stack[0][0]).max() < 0.1
 
+    @pytest.mark.parametrize("hidden_dims", [[16, 16, 8], [32, 8]])
+    def test_equals_layer_by_layer_reference(self, rng, hidden_dims):
+        # upper inputs 16 < 24 and 16 == 16 wide are written over the
+        # input below; 32 > 24 is allocated
+        data = correlated_data(rng, n=3000, d=24)
+        config = PretrainConfig(gb_epochs=2, bb_epochs=2, minibatch=128,
+                                rng_seed=3)
+        want = []
+        ref_rng = np.random.default_rng(config.rng_seed)
+        layer_input = data.copy()
+        for i, h in enumerate(hidden_dims):
+            kind, lr, epochs = ((RbmKind.GAUSSIAN_BERNOULLI, rbm.GB_LR, config.gb_epochs)
+                                if i == 0 else
+                                (RbmKind.BERNOULLI_BERNOULLI, rbm.BB_LR, config.bb_epochs))
+            model = init_rbm(kind, layer_input.shape[1], h, ref_rng)
+            train_rbm(model, layer_input, lr, epochs, config.minibatch, ref_rng)
+            want += [model.weights, model.hidden_bias]
+            layer_input = hidden_probabilities(model, layer_input)
+        got = [a for layer in pretrain_stack(hidden_dims, data, config) for a in layer]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64))
+
+    def test_read_only_data_is_left_unwritten(self, rng):
+        data = correlated_data(rng, n=300, d=12)
+        config = PretrainConfig(gb_epochs=1, bb_epochs=1, minibatch=64)
+        want = pretrain_stack([8, 4], data.copy(), config)
+        data.flags.writeable = False
+        got = pretrain_stack([8, 4], data, config)
+        for g, w in zip(got, want, strict=True):
+            for a, b in zip(g, w):
+                np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
     def test_blocked_upper_input_equals_one_shot_pass(self, rng):
         # two full blocks and a remainder block
         n = 2 * rbm.UPPER_INPUT_ROW_BLOCK + 37
-        for num_visible in (24, 16):  # a new array, then in place
+        # a new array, in place as wide, and over the prefix of a wider input
+        for num_visible, in_place in ((24, False), (16, True), (24, True)):
             model = init_rbm(RbmKind.BERNOULLI_BERNOULLI, num_visible, 16, rng)
             model.weights *= 100.0  # sigmoid saturates both ways
             model.hidden_bias = rng.standard_normal(16)
             visible = rng.random((n, num_visible))
             want = hidden_probabilities(model, visible)
-            out = visible if num_visible == 16 else None
+            out = visible.reshape(-1)[:n * 16].reshape(n, 16) if in_place else None
             blocked = rbm._blocked_hidden_probabilities(model, visible, out=out)
-            assert out is None or blocked is visible
+            assert (out is None or blocked is out) and \
+                np.shares_memory(blocked, visible) == in_place
             assert blocked.shape == want.shape == (n, 16)
             np.testing.assert_array_equal(blocked.view(np.uint64), want.view(np.uint64))
 
-    def test_holds_one_upper_layer_input_at_a_time(self, rng, traced_peak_bytes):
-        data = rng.standard_normal((20_000, 64))
-        kept = data.copy()
+    def test_upper_layer_inputs_live_in_the_data(self, rng, traced_peak_bytes):
         config = PretrainConfig(gb_epochs=1, bb_epochs=1, minibatch=256,
                                 rng_seed=0)
-        # the third RBM's input is written over the second's, as wide, and
-        # never over the data
-        for hidden_dims in ([64, 64], [64, 64, 64]):
+        for hidden_dims in ([64, 64], [64, 64, 64], [64, 32, 16]):
+            data = rng.standard_normal((20_000, 64))
             peak = traced_peak_bytes(lambda: pretrain_stack(hidden_dims, data, config))
-            # one 20 000 x 64 upper-layer input, and temporaries of one row
-            # block or one minibatch
-            assert peak < 1.5 * data.nbytes
-            np.testing.assert_array_equal(data, kept)
+            # every upper-layer input is written over the data, so only
+            # temporaries of one row block or one minibatch remain (0.16-0.19
+            # measured; 1.19-1.54 when each upper input was a new array)
+            assert peak < 0.3 * data.nbytes
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hdnn_audio import hierarchy, mlp, systems
+from hdnn_audio import hierarchy, mlp, rbm, systems
 from hdnn_audio.errors import DimensionMismatch, EmptyInput
 from hdnn_audio.features import (ContextConfig, FeatureSequence, NormStats,
-                                 apply_norm, mfcc_sequence)
+                                 apply_norm, fit_norm_stats, mfcc_sequence)
 
 
 def schedule(seed):
@@ -104,10 +104,13 @@ class TestSystemFile:
         assert trained["gmm_stacked"][0].model.ubm.dim == 14 * 3
 
 
+def random_clips(rng, num_clips=100, t=200, d=32):
+    """Clips of t to t + 6 random frames, labelled 0, 1, 2 in turn."""
+    return [(FeatureSequence(rng.standard_normal((t + i % 7, d))), i % 3)
+            for i in range(num_clips)]
+
+
 class TestPoolFrames:
-    def clips(self, rng, num_clips=100, t=200, d=32):
-        return [(FeatureSequence(rng.standard_normal((t + i % 7, d))), i % 3)
-                for i in range(num_clips)]
 
     def test_equals_stacked_transformed_clips(self, corpus):
         system = systems.System(corpus.labels, corpus.norm, width=9, dct_keep=3)
@@ -120,11 +123,11 @@ class TestPoolFrames:
 
     def test_transform_that_drops_a_frame_is_refused(self, rng):
         with pytest.raises(DimensionMismatch):
-            systems.pool_frames(self.clips(rng, num_clips=3),
+            systems.pool_frames(random_clips(rng, num_clips=3),
                                 lambda seq: FeatureSequence(seq.frames[1:]))
 
     def test_transform_that_changes_the_width_is_refused(self, rng):
-        clips = self.clips(rng, num_clips=3)
+        clips = random_clips(rng, num_clips=3)
         with pytest.raises(DimensionMismatch):
             systems.pool_frames(clips, lambda seq: FeatureSequence(
                 seq.frames[:, :1] if seq is clips[2][0] else seq.frames))
@@ -133,8 +136,17 @@ class TestPoolFrames:
         with pytest.raises(EmptyInput):
             systems.pool_frames([], lambda seq: seq)
 
+    def test_normalizing_front_end_equals_the_pool_normalized_in_place(self, corpus):
+        system = systems.System(corpus.labels, corpus.norm, width=9, dct_keep=3)
+        x, _ = systems.pool_frames(corpus.train, system.features)
+        system.input_norm = fit_norm_stats(x)
+        x -= system.input_norm.mean
+        x /= system.input_norm.std
+        again, _ = systems.pool_frames(corpus.train, system.features)
+        np.testing.assert_array_equal(again.view(np.uint64), x.view(np.uint64))
+
     def test_holds_the_pool_once(self, rng, traced_peak_bytes):
-        clips = self.clips(rng)
+        clips = random_clips(rng)
         out = {}
 
         def pool():
@@ -143,6 +155,38 @@ class TestPoolFrames:
         peak = traced_peak_bytes(pool)
         # the pool, its labels and one transformed clip
         assert peak < 1.25 * out["x"].nbytes
+
+
+class TestTrainNnSystem:
+    def test_pretrained_network_fine_tunes_on_the_pool_it_consumed(self, corpus):
+        pretrain = rbm.PretrainConfig(gb_epochs=1, bb_epochs=1, minibatch=64)
+        system, _, _ = systems.train_nn_system(corpus, [8, 8], width=5,
+                                               schedule=schedule(0), dct_keep=3,
+                                               pretrain=pretrain)
+        # the recipe on a pool that pre-training leaves intact
+        x, y = systems.pool_frames(corpus.train, system.features)
+        stack = rbm.pretrain_stack([8, 8], x.copy(), pretrain)
+        want, _ = systems.train_network(x, y, [8, 8], len(corpus.labels),
+                                        schedule(0), stack)
+        for a, b in zip(model_arrays(system.model), model_arrays(want), strict=True):
+            np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    @pytest.mark.parametrize("pretrain", [
+        rbm.PretrainConfig(gb_epochs=1, bb_epochs=1, minibatch=256), None],
+        ids=["pretrained", "random_init"])
+    def test_holds_one_pool_at_a_time(self, rng, traced_peak_bytes, pretrain):
+        clips = random_clips(rng, num_clips=60, d=14)
+        corpus = systems.PreparedCorpus(labels=["a", "b", "c"], train=clips, test=[],
+                                        norm=NormStats(np.zeros(14), np.ones(14)))
+        peak = traced_peak_bytes(lambda: systems.train_nn_system(
+            corpus, [96, 96], width=9, schedule=mlp.TrainSchedule(
+                initial_lr=0.4, minibatch_frames=256, max_epochs=1),
+            pretrain=pretrain))
+        pool_bytes = sum(seq.num_frames for seq, _ in clips) * 9 * 14 * 8
+        # the pool and fine-tuning's CV split and passes: 1.40 measured
+        # either way; 2.00 with pre-training when the 96-wide upper input
+        # was a new array beside the pool
+        assert peak < 1.6 * pool_bytes
 
 
 class TestAddSecondStage:
