@@ -33,9 +33,12 @@ class AnnotatedSegment:
     label: str
 
 
+MAX_CONCEPTS = 8  # the entries of concept_table's inventory
+
+
 @dataclass
 class SynthConfig:
-    num_concepts: int = 8
+    num_concepts: int = MAX_CONCEPTS
     clips_per_concept: int = 26
     clip_seconds_range: tuple[float, float] = (1.2, 2.0)
     sample_rate: int = 16000
@@ -43,8 +46,9 @@ class SynthConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.num_concepts < 2:
-            raise ValueError("need at least 2 concepts")
+        if not 2 <= self.num_concepts <= MAX_CONCEPTS:
+            raise ValueError(f"num_concepts must lie in [2, {MAX_CONCEPTS}], "
+                             f"got {self.num_concepts}")
         lo, hi = self.clip_seconds_range
         if lo > hi or lo <= 0:
             raise ValueError("invalid clip duration range")
@@ -92,21 +96,26 @@ def load_annotations(csv_path, check_audio: bool = False) -> list[AnnotatedSegme
 
 def split_dataset(segments: list[AnnotatedSegment], train_fraction: float = 0.8,
                   seed: int = 0) -> tuple[list[AnnotatedSegment], list[AnnotatedSegment]]:
-    """Seeded split, stratified by concept; disjoint and exhaustive."""
-    by_label: dict[str, list[AnnotatedSegment]] = {}
+    """Seeded split, stratified by concept; disjoint and exhaustive.
+
+    Each concept's clips, in order of first appearance, are permuted and
+    split, and all of a clip's segments of that concept go to one side.
+    """
+    by_label: dict[str, dict[str, list[AnnotatedSegment]]] = {}
     for seg in segments:
-        by_label.setdefault(seg.label, []).append(seg)
+        by_label.setdefault(seg.label, {}).setdefault(seg.clip_path, []).append(seg)
     rng = np.random.default_rng(seed)
     train, test = [], []
     for label in sorted(by_label):
-        group = by_label[label]
-        if len(group) < 2:
-            raise ConceptTooSmall(f"concept {label!r} has {len(group)} segment(s), need >= 2")
-        order = rng.permutation(len(group))
-        n_train = int(round(train_fraction * len(group)))
-        n_train = min(max(n_train, 1), len(group) - 1)
+        clips = list(by_label[label].values())
+        if len(clips) < 2:
+            raise ConceptTooSmall(f"concept {label!r} has segments of {len(clips)} "
+                                  f"clip(s), need >= 2")
+        order = rng.permutation(len(clips))
+        n_train = int(round(train_fraction * len(clips)))
+        n_train = min(max(n_train, 1), len(clips) - 1)
         for i, j in enumerate(order):
-            (train if i < n_train else test).append(group[j])
+            (train if i < n_train else test).extend(clips[j])
     return train, test
 
 
@@ -128,11 +137,12 @@ class ConceptSpec:
 
 
 def concept_table(num_concepts: int) -> list[ConceptSpec]:
-    """Deterministic concept inventory covering all four families."""
+    """The first ``num_concepts`` (at most MAX_CONCEPTS) entries of the
+    concept inventory, which covers all four families."""
     # the pulse pairs share one average burst rate: a regular train vs a
     # doublet pattern of twice the period. Short windows then see identical
     # statistics and only long-range context can tell them apart.
-    base = [
+    return [
         ConceptSpec("band_low", "a", {"kind": "band_noise", "low_hz": 400, "high_hz": 900}),
         ConceptSpec("band_high", "a", {"kind": "band_noise", "low_hz": 2200, "high_hz": 3200}),
         ConceptSpec("am_fast", "b", {"kind": "am_tone", "carrier_hz": 1000, "period_s": 0.05}),
@@ -147,25 +157,7 @@ def concept_table(num_concepts: int) -> list[ConceptSpec]:
         ConceptSpec("knock_double", "d", {"kind": "pulse_train", "period_s": 0.90,
                                           "burst": "tone", "doublet_gap_s": 0.35,
                                           "marker_hz": (350, 700)}),
-    ]
-    table = []
-    for i in range(num_concepts):
-        spec = base[i % len(base)]
-        if i < len(base):
-            table.append(spec)
-        else:
-            # extra concepts: shift the distinguishing parameter deterministically
-            cycle = i // len(base)
-            params = dict(spec.params)
-            if params["kind"] == "band_noise":
-                params["low_hz"] += 700 * cycle
-                params["high_hz"] += 700 * cycle
-            else:
-                params["period_s"] *= 1.0 + 0.35 * cycle
-                if "carrier_hz" in params:
-                    params["carrier_hz"] += 500 * cycle
-            table.append(ConceptSpec(f"{spec.name}_{cycle}", spec.family, params))
-    return table
+    ][:num_concepts]
 
 
 @functools.cache
@@ -205,16 +197,14 @@ def _synth_am_tone(rng, n, sr, carrier_hz, period_s):
     return 0.30 * envelope * np.sin(2 * np.pi * carrier_hz * t + carrier_phase)
 
 
-def _synth_pulse_train(rng, n, sr, period_s, burst="noise", doublet_gap_s=None,
-                       marker_hz=None, burst_s=0.03, jitter=0.08):
+def _synth_pulse_train(rng, n, sr, period_s, marker_hz, burst="noise",
+                       doublet_gap_s=None, burst_s=0.03, jitter=0.08):
     # bursts are locally identical across concepts: only inter-burst timing
     # carries the concept, which needs long-range context to classify. The
-    # optional continuous marker band identifies the pair (clap vs knock)
-    # from a single frame, so context only helps with the timing pattern.
-    sig = np.zeros(n)
-    if marker_hz is not None:
-        marker = _synth_band_noise(rng, n, sr, marker_hz[0], marker_hz[1])
-        sig += 0.20 * marker  # band noise comes back RMS-normalized to 0.25
+    # continuous marker band identifies the pair (clap vs knock) from a
+    # single frame, so context only helps with the timing pattern.
+    # band noise comes back RMS-normalized to 0.25
+    sig = 0.20 * _synth_band_noise(rng, n, sr, marker_hz[0], marker_hz[1])
     burst_len = int(round(burst_s * sr))
     window = np.hanning(burst_len)
     tone = np.sin(2 * np.pi * 1800.0 * np.arange(burst_len) / sr)

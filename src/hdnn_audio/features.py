@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import struct
+import warnings
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -102,12 +103,17 @@ def load_wav(path) -> AudioClip:
     """Load a PCM WAV file as a mono clip at the canonical 16 kHz rate.
 
     Stereo files are averaged to mono; other sample rates are resampled.
-    A file SciPy cannot parse raises DataError naming ``path``.
+    A file SciPy cannot parse, or whose data chunk ends early, raises
+    DataError naming ``path``.
     """
-    try:
-        rate, data = scipy.io.wavfile.read(path)
-    except (ValueError, struct.error) as exc:
-        raise DataError(f"{path}: unreadable WAV file: {exc}") from exc
+    with warnings.catch_warnings():
+        # SciPy only warns when the data chunk ends before its header says
+        warnings.filterwarnings("error", "Reached EOF prematurely",
+                                scipy.io.wavfile.WavFileWarning)
+        try:
+            rate, data = scipy.io.wavfile.read(path)
+        except (ValueError, struct.error, scipy.io.wavfile.WavFileWarning) as exc:
+            raise DataError(f"{path}: unreadable WAV file: {exc}") from exc
     if data.dtype == np.int16:
         samples = data.astype(np.float64) / 32768.0
     elif data.dtype == np.int32:

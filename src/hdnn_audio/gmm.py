@@ -62,7 +62,7 @@ from .errors import DataTooSmall, DimensionMismatch, EmptyInput
 
 RESP_MASS_FLOOR = 1e-8
 VAR_FLOOR_FRACTION = 1e-3
-DEFAULT_LL_GAIN_STOP = 1e-4  # per-frame log-likelihood gain
+UBM_LL_GAIN_STOP = 1e-4  # per-frame log-likelihood gain that ends UBM EM
 LLOYD_ITERATIONS = 10  # after k-means++ seeding
 SCORE_ROW_BLOCK = 1024  # frames scored at once against the stacked bank
 SQ_NORM_ROW_BLOCK = 1024  # rows squared at once for k-means++ |x|^2
@@ -330,11 +330,13 @@ def _sq_dists(data: np.ndarray, sq_norms: np.ndarray, index: int) -> np.ndarray:
 
 
 def train_ubm(data: np.ndarray, k: int = 256, iterations: int = 20,
-              seed: int = 0, ll_gain_stop: float = DEFAULT_LL_GAIN_STOP) -> DiagGmm:
-    """Concept-independent background model on pooled training frames."""
+              seed: int = 0) -> DiagGmm:
+    """Concept-independent background model on pooled training frames:
+    EM from a k-means++ init, stopped early at a per-frame
+    log-likelihood gain below UBM_LL_GAIN_STOP."""
     rng = np.random.default_rng(seed)
     init = kmeans_pp_init(data, k, rng)
-    ubm, _ = em_train(init, data, iterations, ll_gain_stop=ll_gain_stop)
+    ubm, _ = em_train(init, data, iterations, ll_gain_stop=UBM_LL_GAIN_STOP)
     return ubm
 
 

@@ -5,7 +5,6 @@ below the stopping threshold)."""
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,17 +242,17 @@ def _loss_and_gradients(model: MlpModel, batch: np.ndarray, labels: np.ndarray
     return loss, grads
 
 
-def train(init_model: MlpModel, train_set: tuple[np.ndarray, np.ndarray],
+def train(model: MlpModel, train_set: tuple[np.ndarray, np.ndarray],
           schedule: TrainSchedule) -> tuple[MlpModel, list[EpochRecord]]:
     """Minibatch SGD with a seeded CV split and the newbob-style schedule.
 
     ``train_set`` is (X, y) with one labeled feature vector per frame.
-    Returns the final-epoch model and the per-epoch history.
+    Trains ``model`` in place and returns it, at its final epoch, with
+    the per-epoch history.
     """
     x, y = train_set
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    model = copy.deepcopy(init_model)
     if schedule.max_epochs == 0:
         return model, []
     rng = np.random.default_rng(schedule.rng_seed)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteUpdate
-from .mlp import sigmoid
+from .mlp import Layer, sigmoid
 
 
 # Reconstruction error only tracks progress (it steers nothing), so a
@@ -162,9 +162,10 @@ def train_rbm(rbm: RbmModel, data: np.ndarray, lr: float, epochs: int,
 
 
 def pretrain_stack(hidden_dims: list[int], data: np.ndarray,
-                   config: PretrainConfig) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Train a stack of RBMs greedily; returns (weights, hidden_bias) per
-    hidden layer in MLP orientation (out_dim x in_dim).
+                   config: PretrainConfig) -> list[Layer]:
+    """Train a stack of RBMs greedily; returns one ``mlp.Layer`` per
+    hidden layer, made of its RBM's own weights (already out_dim x
+    in_dim) and hidden bias.
 
     The first RBM is Gaussian-Bernoulli on the data; the rest are
     Bernoulli-Bernoulli on the previous layer's hidden probabilities.
@@ -193,7 +194,7 @@ def pretrain_stack(hidden_dims: list[int], data: np.ndarray,
             kind, lr, epochs = RbmKind.BERNOULLI_BERNOULLI, BB_LR, config.bb_epochs
         rbm = init_rbm(kind, layer_input.shape[1], h, rng)
         train_rbm(rbm, layer_input, lr, epochs, config.minibatch, rng)
-        result.append((rbm.weights.copy(), rbm.hidden_bias.copy()))
+        result.append(Layer(rbm.weights, rbm.hidden_bias))
     return result
 
 

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import gmm, hierarchy, mlp, rbm
 from .data import AnnotatedSegment, load_segment_audio, split_dataset
-from .errors import DataError, DimensionMismatch, EmptyInput, HdnnError
+from .errors import (ClipTooShort, DataError, DimensionMismatch, EmptyInput,
+                     HdnnError)
 from .features import (NUM_CEPS, ContextConfig, FeatureSequence, NormStats,
                        append_deltas, apply_norm, fit_norm_stats, mfcc_sequence,
                        stack_context, temporal_dct_reduce)
@@ -44,15 +45,22 @@ def prepare_corpus(segments: list[AnnotatedSegment], audio_root,
     them with statistics fit on the training split.
 
     Given a ``norm`` (a trained system's), only the test split is
-    extracted and normalized with it, and ``train`` is left empty.
+    extracted and normalized with it, and ``train`` is left empty. A
+    segment too short for one frame raises ClipTooShort naming it.
     """
     labels = sorted({seg.label for seg in segments})
     label_index = {label: i for i, label in enumerate(labels)}
     train_segs, test_segs = split_dataset(segments, train_fraction, seed)
 
+    def mfccs(seg):
+        try:
+            return mfcc_sequence(load_segment_audio(seg, audio_root))
+        except ClipTooShort as exc:
+            raise ClipTooShort(f"{seg.clip_path} segment {seg.start_s}-{seg.end_s} s: "
+                               f"{exc}") from exc
+
     def extract(segs):
-        return [(mfcc_sequence(load_segment_audio(seg, audio_root)),
-                 label_index[seg.label]) for seg in segs]
+        return [(mfccs(seg), label_index[seg.label]) for seg in segs]
 
     train_raw = extract(train_segs) if norm is None else []
     test_raw = extract(test_segs)
@@ -136,18 +144,16 @@ def pool_frames(clips: list[tuple[FeatureSequence, int]],
 
 def train_network(x: np.ndarray, y: np.ndarray, hidden_dims: list[int],
                   num_classes: int, schedule: mlp.TrainSchedule,
-                  stack: Sequence[tuple[np.ndarray, np.ndarray]] = ()
+                  stack: Sequence[mlp.Layer] = ()
                   ) -> tuple[mlp.MlpModel, list[mlp.EpochRecord]]:
     """The one recipe every network is built by: random init seeded by
-    ``schedule.rng_seed``, hidden layers replaced by ``stack``'s
-    pre-trained (weights, bias) pairs, bottom first, then SGD fine-tuning
-    on ``x``. Returns (model, per-epoch history)."""
+    ``schedule.rng_seed``, its bottom hidden layers replaced by
+    ``stack``'s pre-trained layers themselves, then SGD fine-tuning of
+    that model on ``x``. Returns (model, per-epoch history)."""
     rng = np.random.default_rng(schedule.rng_seed)
-    init = mlp.init_random([x.shape[1]] + hidden_dims + [num_classes], rng)
-    for layer, (weights, bias) in zip(init.layers, stack):
-        layer.weights = weights
-        layer.bias = bias
-    return mlp.train(init, (x, y), schedule)
+    model = mlp.init_random([x.shape[1]] + hidden_dims + [num_classes], rng)
+    model.layers[:len(stack)] = stack
+    return mlp.train(model, (x, y), schedule)
 
 
 def train_nn_system(corpus: PreparedCorpus, hidden_dims: list[int],

@@ -209,7 +209,20 @@ class TestCli:
         rc = main(["--set", f"paths.corpus_dir={corpus}",
                    "--out-dir", str(tmp_path / "run"), "train-gmm"])
         assert rc == 3
-        assert "clip of 0 samples" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "clip of 0 samples" in err
+        assert rows[1][0] in err and "50.0" in err
+
+    def test_truncated_wav_exits_3_naming_it(self, cli_corpus, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(cli_corpus, corpus)
+        bad = corpus / load_annotations(corpus / "annotations.csv")[0].clip_path
+        bad.write_bytes(bad.read_bytes()[:-2000])  # cut inside the data chunk
+        rc = main(["--set", f"paths.corpus_dir={corpus}",
+                   "--out-dir", str(tmp_path / "run"), "train-gmm"])
+        assert rc == 3
+        assert f"{bad}: unreadable WAV file: Reached EOF prematurely" \
+            in capsys.readouterr().err
 
     def test_deterministic_reports(self, cli_corpus, tmp_path):
         reports = []
@@ -493,7 +506,8 @@ class TestEvaluateOverrides:
 BAD_VALUES = [
     "context.width=8", "nn.hidden_dims=64", "nn.schedule.initial_lr=abc",
     "context.dct_keep_per_band=99", "gmm.feature_mode=bogus", "seed=abc",
-    "pretrain.gb_epochs=-1", "synth.num_concepts=1", "features.frame_shift_ms=20",
+    "pretrain.gb_epochs=-1", "synth.num_concepts=1", "synth.num_concepts=9",
+    "features.frame_shift_ms=20",
     "nn.schedule.rng_seed=5", "sparse.offsets=[1,2]", "seed=true",
     "nn.hidden_dims=[0]", "nn.schedule.minibatch_frames=0",
     "pretrain.minibatch=0", "gmm.num_components=0", "train_fraction=1.5",

@@ -108,6 +108,39 @@ class TestSplit:
         b = split_dataset(segs, 0.75, seed=11)
         assert [s.clip_path for s in a[0]] == [s.clip_path for s in b[0]]
 
+    def test_a_clip_falls_on_one_side(self):
+        # 6 clips of 4 one-concept segments each; a segment-level split
+        # put segments of 4 of the 6 clips on both sides at seed 0
+        segs = [AnnotatedSegment(f"c{i}.wav", float(k), k + 1.0, "a")
+                for i in range(6) for k in range(4)]
+        train, test = split_dataset(segs, 0.5, seed=0)
+        assert len(train) == len(test) == 12
+        assert {s.clip_path for s in train}.isdisjoint({s.clip_path for s in test})
+
+    def test_a_concept_needs_two_clips(self):
+        segs = [AnnotatedSegment("one.wav", float(k), k + 1.0, "a") for k in range(5)]
+        segs += self.make_segments({"b": 3})
+        with pytest.raises(ConceptTooSmall, match="1 clip"):
+            split_dataset(segs, 0.8)
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_one_segment_per_clip_splits_as_by_segment(self, tiny_segments, seed):
+        # the split by segments that the split by clips replaced: with one
+        # segment per clip, both make the same permutation calls
+        by_label = {}
+        for seg in tiny_segments:
+            by_label.setdefault(seg.label, []).append(seg)
+        rng = np.random.default_rng(seed)
+        want_train, want_test = [], []
+        for label in sorted(by_label):
+            group = by_label[label]
+            order = rng.permutation(len(group))
+            n_train = min(max(int(round(0.8 * len(group))), 1), len(group) - 1)
+            for i, j in enumerate(order):
+                (want_train if i < n_train else want_test).append(group[j])
+        train, test = split_dataset(tiny_segments, 0.8, seed)
+        assert train == want_train and test == want_test
+
     @given(n=st.integers(2, 30), frac=st.floats(0.05, 0.95))
     @settings(max_examples=30, deadline=None)
     def test_split_sizes_always_valid(self, n, frac):
@@ -130,10 +163,11 @@ class TestConceptTable:
         assert by_name["am_fast"].params["period_s"] \
             != by_name["am_slow"].params["period_s"]
 
-    def test_extra_concepts_get_shifted_params(self):
-        table = concept_table(12)
-        assert len(table) == 12
-        assert len({spec.name for spec in table}) == 12
+    def test_fewer_concepts_are_a_prefix(self):
+        full = concept_table(data.MAX_CONCEPTS)
+        assert len(full) == data.MAX_CONCEPTS
+        for n in range(2, data.MAX_CONCEPTS + 1):
+            assert concept_table(n) == full[:n]
 
     def test_families_map(self):
         fam = concept_families(8)
@@ -161,6 +195,8 @@ class TestSynthesis:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SynthConfig(num_concepts=1)
+        with pytest.raises(ValueError, match=r"\[2, 8\]"):
+            SynthConfig(num_concepts=9)
         with pytest.raises(ValueError):
             SynthConfig(clip_seconds_range=(2.0, 1.0))
 

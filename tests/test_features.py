@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -340,6 +342,30 @@ class TestWavIo:
         path.write_bytes(blob)
         with pytest.raises(DataError, match="bad.wav: unreadable WAV file"):
             load_wav(path)
+
+    def test_truncated_data_chunk_is_a_data_error(self, tmp_path, tone_clip):
+        path = tmp_path / "cut.wav"
+        pcm = np.round(tone_clip.samples * 32767.0).astype(np.int16)
+        scipy.io.wavfile.write(path, 16000, pcm)
+        # 1 s at 16 kHz, cut to 5 000 samples of its data chunk
+        path.write_bytes(path.read_bytes()[:10_044])
+        with pytest.raises(DataError, match="cut.wav: unreadable WAV file: "
+                                            "Reached EOF prematurely"):
+            load_wav(path)
+
+    def test_unknown_chunk_still_loads(self, tmp_path, tone_clip):
+        plain = tmp_path / "plain.wav"
+        pcm = np.round(tone_clip.samples * 32767.0).astype(np.int16)
+        scipy.io.wavfile.write(plain, 16000, pcm)
+        blob = plain.read_bytes()
+        # a "junk" chunk (unknown to SciPy, which warns) after the fmt chunk
+        blob = blob[:36] + b"junk" + struct.pack("<I", 8) + bytes(8) + blob[36:]
+        blob = blob[:4] + struct.pack("<I", len(blob) - 8) + blob[8:]
+        extra = tmp_path / "extra.wav"
+        extra.write_bytes(blob)
+        with pytest.warns(scipy.io.wavfile.WavFileWarning, match="not understood"):
+            clip = load_wav(extra)
+        np.testing.assert_array_equal(clip.samples, load_wav(plain).samples)
 
     def test_resampled_to_canonical_rate(self, tmp_path):
         t = np.arange(8000) / 8000.0

@@ -347,20 +347,23 @@ class TestTrain:
         assert acc > 0.9
         assert history[0].lr == 0.5
 
-    def test_zero_epochs_returns_init_copy(self, rng):
+    def test_zero_epochs_returns_the_model_unchanged(self, rng):
         x, y = self.linearly_separable(rng, n=50)
         init = init_random([2, 4, 2], np.random.default_rng(0))
+        want = init_random([2, 4, 2], np.random.default_rng(0))
         model, history = train(init, (x, y), self.schedule(max_epochs=0))
         assert history == []
-        np.testing.assert_allclose(model.layers[0].weights,
-                                   init.layers[0].weights)
-        assert model is not init
+        assert model is init
+        for got, layer in zip(model.layers, want.layers, strict=True):
+            np.testing.assert_array_equal(got.weights, layer.weights)
+            np.testing.assert_array_equal(got.bias, layer.bias)
 
     def test_deterministic(self, rng):
         x, y = self.linearly_separable(rng)
-        init = init_random([2, 8, 2], np.random.default_rng(0))
-        m1, h1 = train(init, (x, y), self.schedule())
-        m2, h2 = train(init, (x, y), self.schedule())
+        m1, h1 = train(init_random([2, 8, 2], np.random.default_rng(0)), (x, y),
+                       self.schedule())
+        m2, h2 = train(init_random([2, 8, 2], np.random.default_rng(0)), (x, y),
+                       self.schedule())
         for l1, l2 in zip(m1.layers, m2.layers, strict=True):
             assert l1.weights.tobytes() == l2.weights.tobytes()
             assert l1.bias.tobytes() == l2.bias.tobytes()
@@ -368,9 +371,10 @@ class TestTrain:
 
     def test_min_epochs_defers_stopping(self, rng):
         x, y = self.linearly_separable(rng)
-        init = init_random([2, 8, 2], np.random.default_rng(0))
-        _, h_plain = train(init, (x, y), self.schedule())
-        _, h_warm = train(init, (x, y), self.schedule(min_epochs=6))
+        _, h_plain = train(init_random([2, 8, 2], np.random.default_rng(0)), (x, y),
+                           self.schedule())
+        _, h_warm = train(init_random([2, 8, 2], np.random.default_rng(0)), (x, y),
+                          self.schedule(min_epochs=6))
         assert len(h_warm) >= 6
         # warmup holds the initial rate throughout
         assert all(r.lr == 0.5 for r in h_warm[:6])

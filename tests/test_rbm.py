@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hdnn_audio import rbm
+from hdnn_audio import mlp, rbm
 from hdnn_audio.errors import DimensionMismatch, NonFiniteUpdate
 from hdnn_audio.rbm import (PretrainConfig, RbmKind, cd1_step,
                             hidden_probabilities, init_rbm, pretrain_stack,
@@ -167,16 +167,15 @@ class TestPretrainStack:
                                 rng_seed=0)
         stack = pretrain_stack([6, 4], data, config)
         assert len(stack) == 2
-        w0, b0 = stack[0]
-        w1, b1 = stack[1]
-        assert w0.shape == (6, 10) and b0.shape == (6,)
-        assert w1.shape == (4, 6) and b1.shape == (4,)
+        assert all(isinstance(layer, mlp.Layer) for layer in stack)
+        assert stack[0].weights.shape == (6, 10) and stack[0].bias.shape == (6,)
+        assert stack[1].weights.shape == (4, 6) and stack[1].bias.shape == (4,)
 
     def test_zero_epochs_keeps_init_scale(self, rng):
         data = correlated_data(rng, n=64, d=10)
         config = PretrainConfig(gb_epochs=0, bb_epochs=0, rng_seed=0)
         stack = pretrain_stack([5], data, config)
-        assert np.abs(stack[0][0]).max() < 0.1
+        assert np.abs(stack[0].weights).max() < 0.1
 
     @pytest.mark.parametrize("hidden_dims", [[16, 16, 8], [32, 8]])
     def test_equals_layer_by_layer_reference(self, rng, hidden_dims):
@@ -196,7 +195,8 @@ class TestPretrainStack:
             train_rbm(model, layer_input, lr, epochs, config.minibatch, ref_rng)
             want += [model.weights, model.hidden_bias]
             layer_input = hidden_probabilities(model, layer_input)
-        got = [a for layer in pretrain_stack(hidden_dims, data, config) for a in layer]
+        got = [a for layer in pretrain_stack(hidden_dims, data, config)
+               for a in (layer.weights, layer.bias)]
         assert len(got) == len(want)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64))
@@ -208,7 +208,7 @@ class TestPretrainStack:
         data.flags.writeable = False
         got = pretrain_stack([8, 4], data, config)
         for g, w in zip(got, want, strict=True):
-            for a, b in zip(g, w):
+            for a, b in ((g.weights, w.weights), (g.bias, w.bias)):
                 np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
     def test_blocked_upper_input_equals_one_shot_pass(self, rng):

@@ -157,6 +157,35 @@ class TestPoolFrames:
         assert peak < 1.25 * out["x"].nbytes
 
 
+class TestTrainNetwork:
+    def test_fine_tunes_the_pretrained_layers_themselves(self, rng):
+        x = rng.standard_normal((300, 10))
+        y = rng.integers(0, 3, size=300)
+        stack = rbm.pretrain_stack([8, 6], x.copy(), rbm.PretrainConfig(
+            gb_epochs=1, bb_epochs=1, minibatch=64))
+        arrays = [(layer.weights, layer.bias) for layer in stack]
+        before = [w.copy() for w, _ in arrays]
+        model, _ = systems.train_network(x, y, [8, 6], 3, schedule(0), stack)
+        assert len(model.layers) == 3
+        for layer, (weights, bias), old in zip(model.layers, arrays, before):
+            assert layer.weights is weights and layer.bias is bias
+            assert not np.array_equal(weights, old)
+
+    def test_holds_the_network_once(self, rng, traced_peak_bytes):
+        # a wide network on few rows, so that its weights set the peak
+        x = rng.standard_normal((64, 256))
+        y = rng.integers(0, 4, size=64)
+        stack = [mlp.Layer(rng.standard_normal((1024, 256)), np.zeros(1024)),
+                 mlp.Layer(rng.standard_normal((1024, 1024)), np.zeros(1024))]
+        net_bytes = sum(layer.weights.nbytes for layer in stack)
+        peak = traced_peak_bytes(lambda: systems.train_network(
+            x, y, [1024, 1024], 4, mlp.TrainSchedule(
+                initial_lr=0.01, minibatch_frames=64, max_epochs=1), stack))
+        # the random init and one step's gradients, one network each
+        # (1.20 measured; 2.21 when training copied the model it was handed)
+        assert peak < 1.5 * net_bytes
+
+
 class TestTrainNnSystem:
     def test_pretrained_network_fine_tunes_on_the_pool_it_consumed(self, corpus):
         pretrain = rbm.PretrainConfig(gb_epochs=1, bb_epochs=1, minibatch=64)
