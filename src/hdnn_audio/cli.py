@@ -5,8 +5,9 @@ evaluate, sweep-context, grid-arch. Every run writes its resolved config
 snapshot and fingerprint into the output directory. compare, sweep-context
 and grid-arch train each system as its train-* command does, into its own
 directory with its own snapshot, which evaluate can score: <out>/<system>/,
-<out>/width-<W>/ and <out>/<D>x<N>-RBM|RND/ (pretrained or random init);
-compare's hdnn stacks its second stage on the network dnn has just trained.
+<out>/width-<W>/ and <out>/<D>x<N>-RBM|RND/ (pretrained or random init).
+Every H-DNN is a second stage on a train-nn network: compare's hdnn
+stacks on the network dnn has just trained, train-hdnn on its own.
 evaluate reads only EVALUATE_KEYS from its config and rejects a --set of
 any other key.
 """
@@ -76,32 +77,32 @@ def _train(command: str, cfg: RunConfig, corpus: systems.PreparedCorpus,
            out_dir: Path, first: systems.System | None = None
            ) -> tuple[systems.System, evaluation.EvalReport]:
     """Train the system a ``train-*`` command names and write its system
-    file, history (networks) and report files to ``out_dir``; train-hdnn
-    stacks on ``first`` (a train-nn system) if it has ``cfg``'s fingerprint.
-    Prints nothing: a closed stdout must not cost a run its files."""
-    schedule_second = dataclasses.replace(cfg.nn.schedule, rng_seed=cfg.seed + 1)
+    file, history (train-nn) and report files to ``out_dir``. Every H-DNN
+    is ``systems.add_second_stage`` on a ``train_nn_system`` network:
+    ``first`` (a train-nn system) if it has ``cfg``'s fingerprint, else
+    one trained here. Prints nothing: a closed stdout must not cost a run
+    its files."""
     if command == "train-gmm":
         system, _ = systems.train_gmm_system(
             corpus, num_components=cfg.gmm.num_components,
             iterations=cfg.gmm.iterations, seed=cfg.seed,
             feature_mode=cfg.gmm.feature_mode, width=cfg.gmm.stacked_width)
-    elif command == "train-nn":
-        system, _, history = systems.train_nn_system(
-            corpus, hidden_dims=cfg.nn.hidden_dims, width=cfg.context.width,
-            schedule=cfg.nn.schedule, dct_keep=cfg.context.dct_keep,
-            pretrain=cfg.pretrain)
-        evaluation.write_csv(out_dir / "history.csv",
-                             ["epoch", "lr", "train_loss", "cv_accuracy"],
-                             [dataclasses.astuple(record) for record in history])
-    elif first is not None and first.config_fingerprint == fingerprint(cfg):
-        system = systems.add_second_stage(first, corpus, cfg.stage2.hidden_dims,
-                                          schedule_second, cfg.sparse)
     else:
-        system, _ = systems.train_hdnn_system(
-            corpus, cfg.context,
-            stage1_hidden=cfg.nn.hidden_dims, stage2_hidden=cfg.stage2.hidden_dims,
-            schedule_first=cfg.nn.schedule, schedule_second=schedule_second,
-            pretrain=cfg.pretrain, sparse=cfg.sparse)
+        if (command == "train-nn" or first is None
+                or first.config_fingerprint != fingerprint(cfg)):
+            first, _, history = systems.train_nn_system(
+                corpus, hidden_dims=cfg.nn.hidden_dims, width=cfg.context.width,
+                schedule=cfg.nn.schedule, dct_keep=cfg.context.dct_keep,
+                pretrain=cfg.pretrain)
+        if command == "train-nn":
+            system = first
+            evaluation.write_csv(out_dir / "history.csv",
+                                 ["epoch", "lr", "train_loss", "cv_accuracy"],
+                                 [dataclasses.astuple(record) for record in history])
+        else:
+            system = systems.add_second_stage(
+                first, corpus, cfg.stage2.hidden_dims,
+                dataclasses.replace(cfg.nn.schedule, rng_seed=cfg.seed + 1), cfg.sparse)
     system.config_fingerprint = fingerprint(cfg)
     systems.save_system(system, out_dir / SYSTEM_FILE)
     return system, _write_report(out_dir, system, corpus)

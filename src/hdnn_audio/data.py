@@ -96,26 +96,36 @@ def load_annotations(csv_path, check_audio: bool = False) -> list[AnnotatedSegme
 
 def split_dataset(segments: list[AnnotatedSegment], train_fraction: float = 0.8,
                   seed: int = 0) -> tuple[list[AnnotatedSegment], list[AnnotatedSegment]]:
-    """Seeded split, stratified by concept; disjoint and exhaustive.
+    """Seeded split of whole clips, stratified by each clip's first
+    concept; disjoint and exhaustive.
 
-    Each concept's clips, in order of first appearance, are permuted and
-    split, and all of a clip's segments of that concept go to one side.
+    A clip's first concept is the label of its first segment in
+    ``segments``. The clips of each first concept, in order of first
+    appearance, are permuted and split, and all of a clip's segments go
+    to one side, so no audio file feeds both. ConceptTooSmall if a concept
+    is the first concept of one clip only, or in no training clip.
     """
-    by_label: dict[str, dict[str, list[AnnotatedSegment]]] = {}
+    clips: dict[str, list[AnnotatedSegment]] = {}
     for seg in segments:
-        by_label.setdefault(seg.label, {}).setdefault(seg.clip_path, []).append(seg)
+        clips.setdefault(seg.clip_path, []).append(seg)
+    by_label: dict[str, list[list[AnnotatedSegment]]] = {}
+    for clip in clips.values():
+        by_label.setdefault(clip[0].label, []).append(clip)
     rng = np.random.default_rng(seed)
     train, test = [], []
     for label in sorted(by_label):
-        clips = list(by_label[label].values())
-        if len(clips) < 2:
-            raise ConceptTooSmall(f"concept {label!r} has segments of {len(clips)} "
-                                  f"clip(s), need >= 2")
-        order = rng.permutation(len(clips))
-        n_train = int(round(train_fraction * len(clips)))
-        n_train = min(max(n_train, 1), len(clips) - 1)
+        group = by_label[label]
+        if len(group) < 2:
+            raise ConceptTooSmall(f"concept {label!r} is the first concept of "
+                                  f"{len(group)} clip(s), need >= 2")
+        order = rng.permutation(len(group))
+        n_train = int(round(train_fraction * len(group)))
+        n_train = min(max(n_train, 1), len(group) - 1)
         for i, j in enumerate(order):
-            (train if i < n_train else test).extend(clips[j])
+            (train if i < n_train else test).extend(group[j])
+    untrained = sorted({seg.label for seg in segments} - {seg.label for seg in train})
+    if untrained:
+        raise ConceptTooSmall(f"concepts {untrained} are in no training clip")
     return train, test
 
 

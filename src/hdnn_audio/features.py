@@ -131,10 +131,16 @@ def load_wav(path) -> AudioClip:
     return AudioClip(samples=samples, sample_rate=int(rate))
 
 
+# each window and filterbank is one read-only array per argument, shared
+# by every caller
+@functools.cache
 def periodic_hamming(n: int) -> np.ndarray:
-    return 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    window = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    window.flags.writeable = False
+    return window
 
 
+@functools.cache
 def mel_filterbank(sample_rate: int = CANONICAL_SAMPLE_RATE) -> np.ndarray:
     """Triangular mel filterbank as a (NUM_MEL_FILTERS, NFFT//2 + 1) matrix."""
 
@@ -155,22 +161,8 @@ def mel_filterbank(sample_rate: int = CANONICAL_SAMPLE_RATE) -> np.ndarray:
             fbank[j, i] = (i - left) / max(center - left, 1)
         for i in range(center, right):
             fbank[j, i] = (right - i) / max(right - center, 1)
-    return fbank
-
-
-# read-only: each cached array is shared by every caller
-@functools.cache
-def _cached_fbank(sample_rate: int) -> np.ndarray:
-    fbank = mel_filterbank(sample_rate)
     fbank.flags.writeable = False
     return fbank
-
-
-@functools.cache
-def _cached_hamming(n: int) -> np.ndarray:
-    window = periodic_hamming(n)
-    window.flags.writeable = False
-    return window
 
 
 def mfcc_sequence(clip: AudioClip) -> FeatureSequence:
@@ -190,9 +182,9 @@ def mfcc_sequence(clip: AudioClip) -> FeatureSequence:
     # a strided view of the signal; the products below copy it
     raw_frames = np.lib.stride_tricks.sliding_window_view(emphasized, win)[::hop]
     raw_energy = np.sum(raw_frames ** 2, axis=1)
-    windowed = raw_frames * _cached_hamming(win)[None, :]
+    windowed = raw_frames * periodic_hamming(win)[None, :]
     pspec = np.abs(np.fft.rfft(windowed, NFFT, axis=1)) ** 2
-    mel_energies = pspec @ _cached_fbank(clip.sample_rate).T
+    mel_energies = pspec @ mel_filterbank(clip.sample_rate).T
     log_mel = np.log(np.maximum(mel_energies, 1e-10))
     ceps = scipy.fft.dct(log_mel, type=2, axis=1, norm="ortho")[:, :NUM_CEPS]
     log_e = np.log(np.maximum(raw_energy, 1e-10))

@@ -111,20 +111,21 @@ def _density_terms(gmm: DiagGmm) -> _DensityTerms:
 
 @dataclass
 class GmmConceptBank:
+    """A UBM and one adapted model per concept, in the order of the
+    labels of the system that holds the bank."""
+
     ubm: DiagGmm
-    concept_models: dict[str, DiagGmm]
-    labels: list[str]
+    concepts: list[DiagGmm]
 
     @functools.cached_property
     def terms(self) -> list[_DensityTerms]:
-        """The density terms of the UBM and then of each concept in label
-        order, computed once, at the first scoring; a bank's models are
-        not changed after it is built. Not a field, so not part of the
-        bank's ``==`` or ``repr``. Not computed with the bank, so these
-        long-lived arrays are not placed in the heap amid later training,
-        where they raised the peak RSS."""
-        return [_density_terms(model) for model in
-                [self.ubm] + [self.concept_models[label] for label in self.labels]]
+        """The density terms of the UBM and then of each concept, computed
+        once, at the first scoring; a bank's models are not changed after
+        it is built. Not a field, so not part of the bank's ``==`` or
+        ``repr``. Not computed with the bank, so these long-lived arrays
+        are not placed in the heap amid later training, where they raised
+        the peak RSS."""
+        return [_density_terms(model) for model in [self.ubm, *self.concepts]]
 
 
 def _log_densities(terms: _DensityTerms, data: np.ndarray, sq: np.ndarray,
@@ -381,7 +382,8 @@ def _adapt_means_only(ubm: DiagGmm, data: np.ndarray, iterations: int) -> DiagGm
 
 
 def log_likelihood_ratios(bank: GmmConceptBank, frames: np.ndarray) -> np.ndarray:
-    """N x C matrix of ln p(x | concept) - ln p(x | UBM), columns in label order.
+    """N x C matrix of ln p(x | concept) - ln p(x | UBM), columns in the
+    bank's concept order.
 
     SCORE_ROW_BLOCK frames at a time, each model's component densities
     are written from the bank's density terms into one model-major

@@ -1,7 +1,7 @@
-"""Two-stage posterior cascade: first-stage network produces a
-posteriorgram, sparse temporal offsets sample it, and a second network
-classifies the sampled long-term context. The cascade is trained by
-``systems.add_second_stage`` on a trained network system."""
+"""Two-stage posterior cascade on T x D frame matrices: the first-stage
+network's T x C posteriors are sampled at sparse temporal offsets, and a
+second network classifies the sampled long-term context. The cascade is
+trained by ``systems.add_second_stage`` on a trained network system."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import numpy as np
 
 from . import mlp
 from .errors import DimensionMismatch
-from .features import FeatureSequence, clamped_rows
+from .features import clamped_rows
 
 DEFAULT_OFFSETS = (-10, -5, 0, 5, 10)
 
@@ -46,12 +46,6 @@ class CascadeModel:
                 f"|offsets| * C = {expected}")
 
 
-def posteriorgram(first_stage: mlp.MlpModel, seq: FeatureSequence) -> FeatureSequence:
-    """T x C posterior matrix from the first-stage network."""
-    _, post = mlp.forward(first_stage, seq.frames)
-    return FeatureSequence(post)
-
-
 def sparse_stack(post: np.ndarray, config: SparseContextConfig) -> np.ndarray:
     """Concatenate posterior rows at each configured offset, clamped to
     the clip boundaries. Output is T x (|offsets| * C)."""
@@ -59,13 +53,15 @@ def sparse_stack(post: np.ndarray, config: SparseContextConfig) -> np.ndarray:
         post.shape[0], len(config.offsets) * post.shape[1])
 
 
-def second_stage_inputs(cascade_first: mlp.MlpModel, config: SparseContextConfig,
-                        seq: FeatureSequence) -> np.ndarray:
-    return sparse_stack(posteriorgram(cascade_first, seq).frames, config)
+def second_stage_inputs(first: mlp.MlpModel, config: SparseContextConfig,
+                        frames: np.ndarray) -> np.ndarray:
+    """``first``'s T x C posteriors of the T x D ``frames``, sparse-stacked."""
+    _, post = mlp.forward(first, frames)
+    return sparse_stack(post, config)
 
 
-def classify(cascade: CascadeModel, seq: FeatureSequence) -> np.ndarray:
-    """Per-frame labels from the full cascade (lowest-index tie-break)."""
-    x2 = second_stage_inputs(cascade.first_stage, cascade.sparse, seq)
+def classify(cascade: CascadeModel, frames: np.ndarray) -> np.ndarray:
+    """Per-frame labels of T x D ``frames`` from the full cascade
+    (lowest-index tie-break)."""
+    x2 = second_stage_inputs(cascade.first_stage, cascade.sparse, frames)
     return mlp.predict_frames(cascade.second_stage, x2)
-

@@ -199,7 +199,7 @@ def backprop_step(model: MlpModel, batch: np.ndarray, labels: np.ndarray,
     layer's gradient is checked before any layer is updated, so a
     NonFiniteGradient leaves the whole model unchanged.
     """
-    loss, grads = _loss_and_gradients(model, batch, labels)
+    loss, grads = loss_and_gradients(model, batch, labels)
     for i in reversed(range(len(grads))):
         grad_w, grad_b = grads[i]
         if not (np.isfinite(grad_w).all() and np.isfinite(grad_b).all()):
@@ -212,15 +212,10 @@ def backprop_step(model: MlpModel, batch: np.ndarray, labels: np.ndarray,
     return loss
 
 
-def gradients(model: MlpModel, batch: np.ndarray,
-              labels: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Mean-over-batch gradients per layer, without updating the model."""
-    return _loss_and_gradients(model, batch, labels)[1]
-
-
-def _loss_and_gradients(model: MlpModel, batch: np.ndarray, labels: np.ndarray
-                        ) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
-    """Cross-entropy of the batch and its per-layer (weight, bias) gradients."""
+def loss_and_gradients(model: MlpModel, batch: np.ndarray, labels: np.ndarray
+                       ) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
+    """Cross-entropy of the batch and its mean-over-batch per-layer
+    (weight, bias) gradients, without updating the model."""
     activations, posteriors = forward(model, batch)
     labels = np.asarray(labels)
     loss = cross_entropy(posteriors, labels)

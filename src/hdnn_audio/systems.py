@@ -106,12 +106,12 @@ class System:
 
     def classify(self, seq: FeatureSequence) -> np.ndarray:
         """Per-frame labels of a normalized MFCC sequence."""
-        x = self.features(seq)
+        x = self.features(seq).frames
         if isinstance(self.model, mlp.MlpModel):
-            return mlp.predict_frames(self.model, x.frames)
+            return mlp.predict_frames(self.model, x)
         if isinstance(self.model, hierarchy.CascadeModel):
             return hierarchy.classify(self.model, x)
-        return gmm.classify_frames(self.model, x.frames)
+        return gmm.classify_frames(self.model, x)
 
 
 def pool_frames(clips: list[tuple[FeatureSequence, int]],
@@ -195,7 +195,7 @@ def add_second_stage(first: System, corpus: PreparedCorpus, hidden_dims: list[in
     the training clips, computed clip by clip as ``classify`` computes
     them. ``first`` is left as it was."""
     x, y = pool_frames(corpus.train, lambda seq: FeatureSequence(
-        hierarchy.second_stage_inputs(first.model, sparse, first.features(seq))))
+        hierarchy.second_stage_inputs(first.model, sparse, first.features(seq).frames)))
     second, _ = train_network(x, y, hidden_dims, len(corpus.labels), schedule)
     return replace(first, model=hierarchy.CascadeModel(
         first_stage=first.model, sparse=sparse, second_stage=second))
@@ -208,7 +208,8 @@ def train_hdnn_system(corpus: PreparedCorpus, context: ContextConfig,
                       pretrain: rbm.PretrainConfig | None = None,
                       sparse: hierarchy.SparseContextConfig | None = None):
     """The H-DNN: ``add_second_stage`` on the network ``train_nn_system``
-    trains on ``context``'s features. Returns (system, system.classify)."""
+    trains on ``context``'s features, as the CLI builds it. Returns
+    (system, system.classify)."""
     first, _, _ = train_nn_system(corpus, stage1_hidden, context.width,
                                   schedule_first, context.dct_keep, pretrain)
     system = add_second_stage(first, corpus, stage2_hidden, schedule_second,
@@ -233,11 +234,9 @@ def train_gmm_system(corpus: PreparedCorpus, num_components: int,
 
     x, y = pool_frames(corpus.train, system.features)
     ubm = gmm.train_ubm(x, k=num_components, iterations=iterations, seed=seed)
-    models = {}
-    for i, label in enumerate(corpus.labels):
-        models[label] = gmm.adapt_concept(ubm, x[y == i], iterations=iterations)
-    system.model = gmm.GmmConceptBank(ubm=ubm, concept_models=models,
-                                      labels=list(corpus.labels))
+    system.model = gmm.GmmConceptBank(ubm=ubm, concepts=[
+        gmm.adapt_concept(ubm, x[y == i], iterations=iterations)
+        for i in range(len(corpus.labels))])
     return system, system.classify
 
 
@@ -277,9 +276,8 @@ def save_system(system: System, path) -> None:
                   for i, layer in enumerate(net.layers)]
     else:
         header.update(kind="gmm")
-        parts += [("ubm", model.ubm)] + [
-            (f"concept.{i}", model.concept_models[label])
-            for i, label in enumerate(model.labels)]
+        parts += [("ubm", model.ubm)] + [(f"concept.{i}", concept)
+                                         for i, concept in enumerate(model.concepts)]
     arrays = {f"{prefix}.{name}": getattr(part, name) for prefix, part in parts
               if part is not None for name in _ARRAY_FIELDS[type(part)]}
     header["arrays"] = [[name, list(a.shape)] for name, a in arrays.items()]
@@ -360,10 +358,8 @@ def _parse_system(blob: bytes) -> System:
             sparse=hierarchy.SparseContextConfig(offsets=header["offsets"]),
             second_stage=net("stage2", second))
     elif header["kind"] == "gmm":
-        model = gmm.GmmConceptBank(
-            ubm=take(gmm.DiagGmm, "ubm"), labels=labels,
-            concept_models={label: take(gmm.DiagGmm, f"concept.{i}")
-                            for i, label in enumerate(labels)})
+        model = gmm.GmmConceptBank(ubm=take(gmm.DiagGmm, "ubm"), concepts=[
+            take(gmm.DiagGmm, f"concept.{i}") for i in range(len(labels))])
     else:
         raise ValueError(f"unknown kind {header['kind']!r}")
     input_norm = take(NormStats, "input_norm") if "input_norm.mean" in arrays else None
@@ -380,10 +376,9 @@ def _check_dims(system: System) -> None:
     model and the labels fit together."""
     model = system.model
     if isinstance(model, gmm.GmmConceptBank):
-        if any(g.means.shape != model.ubm.means.shape
-               for g in model.concept_models.values()):
+        if any(g.means.shape != model.ubm.means.shape for g in model.concepts):
             raise ValueError("concept models differ in shape from the UBM")
-        in_dim, out_dim = model.ubm.dim, len(model.labels)
+        in_dim, out_dim = model.ubm.dim, len(model.concepts)
     else:
         nets = ([model] if isinstance(model, mlp.MlpModel)
                 else [model.first_stage, model.second_stage])

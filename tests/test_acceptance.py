@@ -131,7 +131,7 @@ class TestCriterion1GradientCorrectness:
             model = mlp.init_random(dims, rng)
             batch = rng.standard_normal((6, dims[0]))
             labels = rng.integers(0, dims[-1], size=6)
-            analytic = mlp.gradients(model, batch, labels)
+            _, analytic = mlp.loss_and_gradients(model, batch, labels)
             numeric = self.finite_difference(model, batch, labels)
             for (aw, ab), (nw, nb) in zip(analytic, numeric):
                 scale = max(np.abs(nw).max(), np.abs(nb).max(), 1e-8)
@@ -268,10 +268,8 @@ class TestCriterion9OracleEquivalence:
         ubm = gmm.train_ubm(data, k=4, iterations=5, seed=1)
         bank = gmm.GmmConceptBank(
             ubm=ubm,
-            concept_models={str(c): gmm.adapt_concept(ubm, data[labels == c],
-                                                      iterations=5)
-                            for c in range(3)},
-            labels=["0", "1", "2"])
+            concepts=[gmm.adapt_concept(ubm, data[labels == c], iterations=5)
+                      for c in range(3)])
         frames = rng.standard_normal((1000, d))
 
         def density(model, x):
@@ -283,8 +281,8 @@ class TestCriterion9OracleEquivalence:
         expected = []
         for x in frames:
             ubm_ll = np.log(density(bank.ubm, x))
-            scores = [np.log(density(bank.concept_models[l], x)) - ubm_ll
-                      for l in bank.labels]
+            scores = [np.log(density(concept, x)) - ubm_ll
+                      for concept in bank.concepts]
             expected.append(int(np.argmax(scores)))
 
         assert np.array_equal(gmm.classify_frames(bank, frames), expected)
@@ -302,7 +300,7 @@ class TestCriterion9OracleEquivalence:
         stacked = hierarchy.sparse_stack(post, sparse)
         expected = mlp.forward(second, stacked)[1].argmax(axis=1)
 
-        assert np.array_equal(hierarchy.classify(cascade, seq), expected)
+        assert np.array_equal(hierarchy.classify(cascade, seq.frames), expected)
 
 
 class TestCriterion10Determinism:

@@ -406,10 +406,8 @@ CORRUPTIONS = {
         mlp.Layer(np.zeros((2, 4)), np.zeros(2))])},
     "concept_shape": {"model": gmm.GmmConceptBank(
         ubm=gmm.DiagGmm(np.ones(2) / 2, np.zeros((2, 42)), np.ones((2, 42))),
-        concept_models={
-            "a": gmm.DiagGmm(np.ones(2) / 2, np.zeros((2, 42)), np.ones((2, 42))),
-            "b": gmm.DiagGmm(np.ones(3) / 3, np.zeros((3, 42)), np.ones((3, 42)))},
-        labels=["a", "b"])},
+        concepts=[gmm.DiagGmm(np.ones(2) / 2, np.zeros((2, 42)), np.ones((2, 42))),
+                  gmm.DiagGmm(np.ones(3) / 3, np.zeros((3, 42)), np.ones((3, 42)))])},
 }
 
 
@@ -585,16 +583,21 @@ class TestValidation:
         class Trained(Exception):
             pass
 
-        def train_hdnn_system(corpus, context, **kwargs):
-            seen.append(kwargs)
+        def train_nn_system(corpus, schedule, **kwargs):
+            seen.append(schedule)
+            return "stage 1", None, []
+
+        def add_second_stage(first, corpus, hidden_dims, schedule, sparse):
+            seen.append(schedule)
             raise Trained
 
         monkeypatch.setattr(cli, "_prepare", lambda cfg: None)
-        monkeypatch.setattr(systems, "train_hdnn_system", train_hdnn_system)
+        monkeypatch.setattr(systems, "train_nn_system", train_nn_system)
+        monkeypatch.setattr(systems, "add_second_stage", add_second_stage)
         with pytest.raises(Trained):
             main(["--seed", "7", "--set", "nn.schedule.max_epochs=3",
                   "--out-dir", str(tmp_path / "hdnn"), "train-hdnn"])
-        first, second = seen[-1]["schedule_first"], seen[-1]["schedule_second"]
+        first, second = seen[-2:]
         assert (first.rng_seed, second.rng_seed) == (7, 8)
         assert dataclasses.replace(second, rng_seed=7) == first
         assert second.max_epochs == 3
@@ -740,6 +743,23 @@ class TestCompare:
             ("nn", "train-nn", ["nn.hidden_dims=[5]"]), ("hdnn", "train-hdnn", [])])
         assert_trained_as(tmp_path / "run" / "hdnn", "train-hdnn",
                           TRAINED_SYSTEMS["train-hdnn"], cli_corpus, tmp_path / "alone")
+
+    def test_train_hdnn_equals_the_benchmark_composition(self, cli_corpus, tmp_path):
+        # the benchmark trains its H-DNN with systems.train_hdnn_system,
+        # which the CLI does not call; a system file holds every array as
+        # its <f8 bytes, so equal files hold bitwise-equal arrays
+        settings = [f"paths.corpus_dir={cli_corpus}"] + TRAINED_SYSTEMS["train-hdnn"]
+        assert main(as_sets(settings) + ["--out-dir", str(tmp_path), "train-hdnn"]) == 0
+        cfg = load_config(None, settings)
+        system, _ = systems.train_hdnn_system(
+            cli._prepare(cfg), cfg.context, stage1_hidden=cfg.nn.hidden_dims,
+            stage2_hidden=cfg.stage2.hidden_dims, schedule_first=cfg.nn.schedule,
+            schedule_second=dataclasses.replace(cfg.nn.schedule, rng_seed=cfg.seed + 1),
+            pretrain=cfg.pretrain, sparse=cfg.sparse)
+        system.config_fingerprint = fingerprint(cfg)
+        systems.save_system(system, tmp_path / "benchmark.acsy")
+        assert ((tmp_path / "benchmark.acsy").read_bytes()
+                == (tmp_path / "system.acsy").read_bytes())
 
     def test_closed_stdout_exits_0_with_every_file(self, cli_corpus, tmp_path,
                                                    monkeypatch):

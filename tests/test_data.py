@@ -117,6 +117,32 @@ class TestSplit:
         assert len(train) == len(test) == 12
         assert {s.clip_path for s in train}.isdisjoint({s.clip_path for s in test})
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_a_two_concept_clip_falls_on_one_side(self, seed):
+        # a split per concept put 2, 2, 4, 2 and 4 of these clips on both
+        # sides at seeds 0-4
+        segs = [AnnotatedSegment(f"c{i}.wav", float(k), k + 1.0, label)
+                for i in range(4) for k, label in enumerate("ab")]
+        train, test = split_dataset(segs, 0.5, seed)
+        assert len(train) == len(test) == 4
+        assert {s.clip_path for s in train}.isdisjoint({s.clip_path for s in test})
+
+    def test_a_concept_in_no_training_clip(self):
+        # b is in one clip only, and never a clip's first concept
+        segs = [AnnotatedSegment("c0.wav", 0.0, 1.0, "a"),
+                AnnotatedSegment("c0.wav", 1.0, 2.0, "b"),
+                AnnotatedSegment("c1.wav", 0.0, 1.0, "a")]
+        raised = 0
+        for seed in range(6):
+            try:
+                train, _ = split_dataset(segs, 0.5, seed)
+            except ConceptTooSmall as exc:
+                assert "['b']" in str(exc)
+                raised += 1
+            else:
+                assert "b" in {s.label for s in train}
+        assert 0 < raised < 6
+
     def test_a_concept_needs_two_clips(self):
         segs = [AnnotatedSegment("one.wav", float(k), k + 1.0, "a") for k in range(5)]
         segs += self.make_segments({"b": 3})

@@ -172,24 +172,22 @@ class TestLogsumexp:
 def random_bank(rng, d, k=64, num_concepts=8):
     """A UBM and concepts perturbed from it, as adaptation leaves them."""
     ubm = random_gmm(rng, k=k, d=d)
-    concepts = {}
-    for c in range(num_concepts):
+    concepts = []
+    for _ in range(num_concepts):
         w = ubm.weights * (rng.random(k) + 0.5)
-        concepts[f"c{c}"] = DiagGmm(
+        concepts.append(DiagGmm(
             weights=w / w.sum(),
             means=ubm.means + 0.3 * rng.standard_normal((k, d)),
-            variances=ubm.variances * (rng.random((k, d)) + 0.5))
-    return GmmConceptBank(ubm=ubm, concept_models=concepts,
-                          labels=list(concepts))
+            variances=ubm.variances * (rng.random((k, d)) + 0.5)))
+    return GmmConceptBank(ubm=ubm, concepts=concepts)
 
 
 def per_concept_llrs(bank, frames):
     """The scorer before stacking: one scipy log-sum-exp per model."""
     ubm_ll = logsumexp(component_log_densities(bank.ubm, frames), axis=1)
     return np.stack([
-        logsumexp(component_log_densities(bank.concept_models[l], frames),
-                  axis=1) - ubm_ll
-        for l in bank.labels], axis=1)
+        logsumexp(component_log_densities(concept, frames), axis=1) - ubm_ll
+        for concept in bank.concepts], axis=1)
 
 
 def check_stacked_scoring_matches_per_concept_loop():
@@ -204,7 +202,8 @@ def check_stacked_scoring_matches_per_concept_loop():
             bank = random_bank(rng, d)
             path = Path(tmp) / f"d{d}.acsy"
             systems.save_system(systems.System(
-                labels=bank.labels, mfcc_norm=NormStats(np.zeros(14), np.ones(14)),
+                labels=[f"c{c}" for c in range(len(bank.concepts))],
+                mfcc_norm=NormStats(np.zeros(14), np.ones(14)),
                 model=bank, **front_end), path)
             loaded = systems.load_system(path).model
             for n in (1, 17, 160, gmm.SCORE_ROW_BLOCK + 1):
@@ -245,10 +244,8 @@ class TestStackedScoring:
         frames = rng.standard_normal((50, 6))
         dens = component_log_densities(bank.ubm, frames)
         want = log_likelihood_ratios(bank, frames), gmm.logsumexp(dens)
-        bank = GmmConceptBank(bank.ubm.copy(), {l: m.copy() for l, m in
-                                                bank.concept_models.items()},
-                              bank.labels)
-        for model in [bank.ubm, *bank.concept_models.values()]:
+        bank = GmmConceptBank(bank.ubm.copy(), [m.copy() for m in bank.concepts])
+        for model in [bank.ubm, *bank.concepts]:
             for arr in (model.weights, model.means, model.variances):
                 arr.flags.writeable = False
         for arr in (frames, dens):
@@ -262,7 +259,7 @@ class TestStackedScoring:
         monkeypatch.setattr(gmm, "_density_terms",
                             lambda model: built.append(model) or density_terms(model))
         bank = random_bank(rng, d=6, k=4, num_concepts=3)
-        models = [bank.ubm] + [bank.concept_models[l] for l in bank.labels]
+        models = [bank.ubm, *bank.concepts]
         frames = rng.standard_normal((2 * gmm.SCORE_ROW_BLOCK + 5, 6))
         first = log_likelihood_ratios(bank, frames)  # three row blocks
         assert [id(m) for m in built] == [id(m) for m in models]
@@ -270,7 +267,7 @@ class TestStackedScoring:
         assert_bitwise_equal(log_likelihood_ratios(bank, frames), first)
         assert len(built) == len(models)
         # the terms are the bank's own, not part of its value
-        assert bank == GmmConceptBank(bank.ubm, bank.concept_models, bank.labels)
+        assert bank == GmmConceptBank(bank.ubm, bank.concepts)
         assert "terms" not in repr(bank)
 
 
@@ -492,18 +489,17 @@ class TestScoring:
     def make_bank(self, rng):
         data = two_cluster_data(rng)
         ubm = train_ubm(data, k=2, iterations=5, seed=0)
-        models = {"lo": adapt_concept(ubm, data[:200], iterations=3),
-                  "hi": adapt_concept(ubm, data[200:], iterations=3)}
-        return GmmConceptBank(ubm=ubm, concept_models=models,
-                              labels=["lo", "hi"]), data
+        concepts = [adapt_concept(ubm, data[:200], iterations=3),
+                    adapt_concept(ubm, data[200:], iterations=3)]
+        return GmmConceptBank(ubm=ubm, concepts=concepts), data
 
     def test_classify_matches_brute_force(self, rng):
         bank, data = self.make_bank(rng)
         frames = data[::7]
         pred = classify_frames(bank, frames)
         ubm_ll = log_likelihoods(bank.ubm, frames)
-        brute = np.stack([log_likelihoods(bank.concept_models[l], frames) - ubm_ll
-                          for l in bank.labels], axis=1).argmax(axis=1)
+        brute = np.stack([log_likelihoods(concept, frames) - ubm_ll
+                          for concept in bank.concepts], axis=1).argmax(axis=1)
         np.testing.assert_array_equal(pred, brute)
 
     def test_separates_the_clusters(self, rng):

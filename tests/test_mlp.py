@@ -7,8 +7,8 @@ from hdnn_audio.errors import (DimensionMismatch, LabelOutOfRange,
                                NonFiniteGradient)
 from hdnn_audio.mlp import (Layer, MlpModel, NewbobSchedule,
                             TrainSchedule, backprop_step, cross_entropy,
-                            forward, gradients, init_random, predict_frames,
-                            sigmoid, train)
+                            forward, init_random, loss_and_gradients,
+                            predict_frames, sigmoid, train)
 
 
 def small_model(rng, dims=(4, 6, 3)):
@@ -127,7 +127,7 @@ class TestGradients:
         model = init_random([3, 5, 4, 2], rng)
         batch = rng.standard_normal((6, 3))
         labels = rng.integers(0, 2, size=6)
-        analytic = gradients(model, batch, labels)
+        _, analytic = loss_and_gradients(model, batch, labels)
         numeric = self.finite_difference(model, batch, labels)
         for (aw, ab), (nw, nb) in zip(analytic, numeric):
             np.testing.assert_allclose(aw, nw, rtol=1e-4, atol=1e-7)
@@ -137,7 +137,7 @@ class TestGradients:
         model = small_model(rng)
         batch = rng.standard_normal((8, 4))
         labels = rng.integers(0, 3, size=8)
-        grads = gradients(model, batch, labels)
+        _, grads = loss_and_gradients(model, batch, labels)
         before = [(l.weights.copy(), l.bias.copy()) for l in model.layers]
         loss = backprop_step(model, batch, labels, lr=0.1)
         assert loss == pytest.approx(
@@ -176,7 +176,7 @@ class TestGradients:
         labels = rng.integers(0, 3, size=8)
         before = [(l.weights.copy(), l.bias.copy()) for l in model.layers]
         with np.errstate(all="ignore"):
-            grads = gradients(model, batch, labels)
+            _, grads = loss_and_gradients(model, batch, labels)
             assert np.isfinite(grads[-1][0]).all()
             with pytest.raises(NonFiniteGradient):
                 backprop_step(model, batch, labels, lr=0.1)

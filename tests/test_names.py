@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -54,3 +55,41 @@ def test_every_package_name_is_used():
               if not (name.startswith("__") and name.endswith("__"))
               and name not in referenced]
     assert unused == []
+
+
+def benchmark_attributes():
+    """(module, attribute, wrapped) of each ``hdnn_audio`` module
+    attribute that ``perfbench/workloads.py`` reads (wrapped False) and of
+    each function that ``perfbench/tracing.py``'s WRAPS wraps (True)."""
+    tree = parse(ROOT / "perfbench" / "workloads.py")
+    modules = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "hdnn_audio"
+               for alias in node.names}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            yield modules[node.value.id], node.attr, False
+    (wraps,) = [node.value for node in parse(ROOT / "perfbench" / "tracing.py").body
+                if isinstance(node, ast.Assign)
+                and [ast.unparse(target) for target in node.targets] == ["WRAPS"]]
+    for entry in wraps.elts:
+        module, attr = (ast.literal_eval(item) for item in entry.elts[:2])
+        yield module, attr, True
+
+
+def test_every_benchmark_name_exists():
+    """The benchmark reads these names from the package at run time: a
+    missing one fails its run, or the tracer drops the per-layer metrics
+    that need it, and no other test would fail."""
+    names = sorted(set(benchmark_attributes()))
+    # the parse finds names of both files
+    assert {("systems", "train_hdnn_system", False),
+            ("features", "ContextConfig", False),
+            ("mlp", "backprop_step", True)} <= set(names)
+    missing = []
+    for module, attr, wrapped in names:
+        package_module = importlib.import_module(f"hdnn_audio.{module}")
+        if not hasattr(package_module, attr) or (
+                wrapped and not callable(getattr(package_module, attr))):
+            missing.append(f"{module}.{attr}")
+    assert missing == []

@@ -49,8 +49,7 @@ def model_arrays(model):
         return [a for layer in model.layers for a in (layer.weights, layer.bias)]
     if isinstance(model, hierarchy.CascadeModel):
         return model_arrays(model.first_stage) + model_arrays(model.second_stage)
-    return [a for g in [model.ubm] + [model.concept_models[label]
-                                      for label in model.labels]
+    return [a for g in [model.ubm, *model.concepts]
             for a in (g.weights, g.means, g.variances)]
 
 
