@@ -158,11 +158,17 @@ def _from_dict(cls, data, path="config"):
 
 def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
     """Load a YAML config (defaults when path is None) and apply
-    ``key.path=value`` overrides."""
+    ``key.path=value`` overrides. A file that cannot be read, and YAML
+    that does not parse, raise ConfigError naming the file or the item."""
     data = {}
     if path is not None:
-        with open(path) as f:
-            data = yaml.load(f, Loader=_Loader) or {}
+        try:
+            with open(path, "rb") as f:  # PyYAML decodes, and rejects bad UTF-8
+                data = yaml.load(f, Loader=_Loader) or {}
+        except OSError as exc:
+            raise ConfigError(f"{path}: cannot read config file: {exc.strerror}") from exc
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
@@ -173,7 +179,10 @@ def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
             node = node.setdefault(part, {})
             if not isinstance(node, dict):
                 raise ConfigError(f"override {key!r} descends into a scalar")
-        node[parts[-1]] = yaml.load(raw, Loader=_Loader)
+        try:
+            node[parts[-1]] = yaml.load(raw, Loader=_Loader)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"override {item!r}: not valid YAML: {exc}") from exc
     return _from_dict(RunConfig, data)
 
 

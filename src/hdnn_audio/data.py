@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import functools
-import json
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,34 +57,38 @@ class SynthConfig:
 def load_annotations(csv_path, check_audio: bool = False) -> list[AnnotatedSegment]:
     """Parse an annotation CSV (clip,start_s,end_s,label; header row).
 
-    Malformed rows raise ParseError naming the line. With
-    ``check_audio``, clips missing on disk (relative to the CSV) raise
-    MissingAudio listing every absent file.
+    The file is UTF-8 text; other bytes, and malformed rows, raise
+    ParseError naming the file or the line. With ``check_audio``, clips
+    missing on disk (relative to the CSV) raise MissingAudio listing
+    every absent file.
     """
     csv_path = Path(csv_path)
+    try:
+        text = csv_path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{csv_path}: not UTF-8 text: {exc}") from exc
     segments = []
-    with open(csv_path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{csv_path}: empty file")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 4:
-                raise ParseError(f"{csv_path}:{lineno}: expected 4 fields, got {len(row)}")
-            clip, start_raw, end_raw, label = [cell.strip() for cell in row]
-            try:
-                start, end = float(start_raw), float(end_raw)
-            except ValueError as exc:
-                raise ParseError(f"{csv_path}:{lineno}: bad timestamp: {exc}") from exc
-            if start < 0 or end <= start:
-                raise ParseError(
-                    f"{csv_path}:{lineno}: need 0 <= start < end, got {start}..{end}")
-            if not label:
-                raise ParseError(f"{csv_path}:{lineno}: empty label")
-            segments.append(AnnotatedSegment(clip_path=clip, start_s=start,
-                                             end_s=end, label=label))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise ParseError(f"{csv_path}: empty file")
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != 4:
+            raise ParseError(f"{csv_path}:{lineno}: expected 4 fields, got {len(row)}")
+        clip, start_raw, end_raw, label = [cell.strip() for cell in row]
+        try:
+            start, end = float(start_raw), float(end_raw)
+        except ValueError as exc:
+            raise ParseError(f"{csv_path}:{lineno}: bad timestamp: {exc}") from exc
+        if start < 0 or end <= start:
+            raise ParseError(
+                f"{csv_path}:{lineno}: need 0 <= start < end, got {start}..{end}")
+        if not label:
+            raise ParseError(f"{csv_path}:{lineno}: empty label")
+        segments.append(AnnotatedSegment(clip_path=clip, start_s=start,
+                                         end_s=end, label=label))
     segments.sort(key=lambda s: (s.clip_path, s.start_s))
     if check_audio:
         missing = [s.clip_path for s in segments
@@ -263,7 +267,7 @@ def synthesize_clip(spec: ConceptSpec, duration_s: float, sample_rate: int,
 
 
 def generate_synthetic_corpus(config: SynthConfig, out_dir) -> list[AnnotatedSegment]:
-    """Write WAV clips, an annotation CSV, and a JSONL manifest.
+    """Write WAV clips and an annotation CSV.
 
     Bitwise deterministic for a given config (per-clip child seeds from
     the config seed).
@@ -274,7 +278,6 @@ def generate_synthetic_corpus(config: SynthConfig, out_dir) -> list[AnnotatedSeg
     seeds = np.random.SeedSequence(config.rng_seed).spawn(
         config.num_concepts * config.clips_per_concept)
     segments = []
-    manifest_rows = []
     lo, hi = config.clip_seconds_range
     for ci, spec in enumerate(table):
         for k in range(config.clips_per_concept):
@@ -286,21 +289,14 @@ def generate_synthetic_corpus(config: SynthConfig, out_dir) -> list[AnnotatedSeg
             name = f"{spec.name}_{k:03d}.wav"
             pcm = np.round(sig * 32767.0).astype(np.int16)
             scipy.io.wavfile.write(out_dir / name, config.sample_rate, pcm)
-            actual_duration = len(pcm) / config.sample_rate
             segments.append(AnnotatedSegment(clip_path=name, start_s=0.0,
-                                             end_s=actual_duration, label=spec.name))
-            manifest_rows.append({"path": name, "label": spec.name,
-                                  "family": spec.family,
-                                  "duration_s": actual_duration,
-                                  "params": spec.params})
+                                             end_s=len(pcm) / config.sample_rate,
+                                             label=spec.name))
     with open(out_dir / "annotations.csv", "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["clip", "start_s", "end_s", "label"])
         for seg in segments:
             writer.writerow([seg.clip_path, seg.start_s, seg.end_s, seg.label])
-    with open(out_dir / "manifest.jsonl", "w") as f:
-        for row in manifest_rows:
-            f.write(json.dumps(row) + "\n")
     return segments
 
 

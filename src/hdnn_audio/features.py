@@ -12,7 +12,6 @@ ln(1e-10), orthonormal DCT-II, 13 cepstra.
 
 from __future__ import annotations
 
-import functools
 import struct
 import warnings
 from dataclasses import dataclass
@@ -34,8 +33,9 @@ MEL_HIGH_HZ = 8000.0
 STD_FLOOR = 1e-8
 NORM_ROW_BLOCK = 1024  # rows squared at once for the normalization std
 
-FRAME_LENGTH_MS = 25.0
-FRAME_SHIFT_MS = 10.0
+# 25 ms frames every 10 ms, in samples at CANONICAL_SAMPLE_RATE
+FRAME_LENGTH = 400
+FRAME_SHIFT = 160
 NUM_CEPS = 13
 
 
@@ -57,7 +57,7 @@ class FeatureSequence:
     """T x D matrix of per-frame features, one row every 10 ms."""
 
     frames: np.ndarray
-    frame_shift_ms: ClassVar[float] = FRAME_SHIFT_MS
+    frame_shift_ms: ClassVar[float] = 1000.0 * FRAME_SHIFT / CANONICAL_SAMPLE_RATE
 
     def __post_init__(self):
         self.frames = np.atleast_2d(np.asarray(self.frames, dtype=np.float64))
@@ -102,8 +102,9 @@ class ContextConfig:
 def load_wav(path) -> AudioClip:
     """Load a PCM WAV file as a mono clip at the canonical 16 kHz rate.
 
-    Stereo files are averaged to mono; other sample rates are resampled.
-    A file SciPy cannot parse, or whose data chunk ends early, raises
+    Stereo files are averaged to mono; other sample rates are resampled,
+    here and nowhere else. A file SciPy cannot parse, whose data chunk
+    ends early or whose header gives no positive sample rate raises
     DataError naming ``path``.
     """
     with warnings.catch_warnings():
@@ -114,6 +115,8 @@ def load_wav(path) -> AudioClip:
             rate, data = scipy.io.wavfile.read(path)
         except (ValueError, struct.error, scipy.io.wavfile.WavFileWarning) as exc:
             raise DataError(f"{path}: unreadable WAV file: {exc}") from exc
+    if rate <= 0:
+        raise DataError(f"{path}: WAV header gives a sample rate of {rate} Hz")
     if data.dtype == np.int16:
         samples = data.astype(np.float64) / 32768.0
     elif data.dtype == np.int32:
@@ -131,17 +134,7 @@ def load_wav(path) -> AudioClip:
     return AudioClip(samples=samples, sample_rate=int(rate))
 
 
-# each window and filterbank is one read-only array per argument, shared
-# by every caller
-@functools.cache
-def periodic_hamming(n: int) -> np.ndarray:
-    window = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(n) / n)
-    window.flags.writeable = False
-    return window
-
-
-@functools.cache
-def mel_filterbank(sample_rate: int = CANONICAL_SAMPLE_RATE) -> np.ndarray:
+def _mel_filterbank() -> np.ndarray:
     """Triangular mel filterbank as a (NUM_MEL_FILTERS, NFFT//2 + 1) matrix."""
 
     def hz_to_mel(f):
@@ -153,7 +146,7 @@ def mel_filterbank(sample_rate: int = CANONICAL_SAMPLE_RATE) -> np.ndarray:
     mel_points = np.linspace(hz_to_mel(MEL_LOW_HZ), hz_to_mel(MEL_HIGH_HZ),
                              NUM_MEL_FILTERS + 2)
     hz_points = mel_to_hz(mel_points)
-    bins = np.floor((NFFT + 1) * hz_points / sample_rate).astype(int)
+    bins = np.floor((NFFT + 1) * hz_points / CANONICAL_SAMPLE_RATE).astype(int)
     fbank = np.zeros((NUM_MEL_FILTERS, NFFT // 2 + 1))
     for j in range(NUM_MEL_FILTERS):
         left, center, right = bins[j], bins[j + 1], bins[j + 2]
@@ -165,26 +158,36 @@ def mel_filterbank(sample_rate: int = CANONICAL_SAMPLE_RATE) -> np.ndarray:
     return fbank
 
 
+# read-only arrays shared by every clip
+MEL_FILTERBANK = _mel_filterbank()
+HAMMING_WINDOW = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(FRAME_LENGTH) / FRAME_LENGTH)
+HAMMING_WINDOW.flags.writeable = False
+
+
 def mfcc_sequence(clip: AudioClip) -> FeatureSequence:
     """Full front-end: pre-emphasis, framing, MFCC + log raw energy per frame.
 
-    Frame t covers samples [t * hop, t * hop + win) of the pre-emphasized
-    signal (25 ms windows every 10 ms); a trailing partial frame is
-    discarded, and a clip shorter than one frame raises ClipTooShort.
+    Frame t covers samples [t * FRAME_SHIFT, t * FRAME_SHIFT +
+    FRAME_LENGTH) of the pre-emphasized signal; a trailing partial frame
+    is discarded. A clip not at CANONICAL_SAMPLE_RATE raises DataError
+    (``load_wav`` resamples), and a clip shorter than one frame raises
+    ClipTooShort.
     """
-    win = int(round(FRAME_LENGTH_MS * clip.sample_rate / 1000.0))
-    hop = int(round(FRAME_SHIFT_MS * clip.sample_rate / 1000.0))
-    if len(clip.samples) < win:
+    if clip.sample_rate != CANONICAL_SAMPLE_RATE:
+        raise DataError(f"clip at {clip.sample_rate} Hz: the front end takes "
+                        f"{CANONICAL_SAMPLE_RATE} Hz audio only")
+    if len(clip.samples) < FRAME_LENGTH:
         raise ClipTooShort(f"clip of {len(clip.samples)} samples cannot fit one "
-                           f"{win}-sample frame")
+                           f"{FRAME_LENGTH}-sample frame")
     emphasized = np.append(clip.samples[0],
                            clip.samples[1:] - PREEMPHASIS * clip.samples[:-1])
     # a strided view of the signal; the products below copy it
-    raw_frames = np.lib.stride_tricks.sliding_window_view(emphasized, win)[::hop]
+    raw_frames = np.lib.stride_tricks.sliding_window_view(
+        emphasized, FRAME_LENGTH)[::FRAME_SHIFT]
     raw_energy = np.sum(raw_frames ** 2, axis=1)
-    windowed = raw_frames * periodic_hamming(win)[None, :]
+    windowed = raw_frames * HAMMING_WINDOW[None, :]
     pspec = np.abs(np.fft.rfft(windowed, NFFT, axis=1)) ** 2
-    mel_energies = pspec @ mel_filterbank(clip.sample_rate).T
+    mel_energies = pspec @ MEL_FILTERBANK.T
     log_mel = np.log(np.maximum(mel_energies, 1e-10))
     ceps = scipy.fft.dct(log_mel, type=2, axis=1, norm="ortho")[:, :NUM_CEPS]
     log_e = np.log(np.maximum(raw_energy, 1e-10))

@@ -96,7 +96,7 @@ class System:
     def features(self, seq: FeatureSequence) -> FeatureSequence:
         if self.deltas:
             seq = append_deltas(seq)
-        elif self.width > 1 or self.dct_keep is not None:
+        elif self.width != 1 or self.dct_keep is not None:
             seq = stack_context(seq, self.width)
             if self.dct_keep is not None:
                 seq = temporal_dct_reduce(seq, self.width, self.dct_keep)
@@ -345,9 +345,6 @@ def _parse_system(blob: bytes) -> System:
     labels = header["labels"]
     if not all(type(label) is str for label in labels):
         raise ValueError(f"labels must be strings, got {labels!r}")
-    width, dct_keep = header["width"], header["dct_keep"]
-    ContextConfig(width=width, dct_enabled=dct_keep is not None,
-                  dct_keep_per_band=width if dct_keep is None else dct_keep)
     if header["kind"] == "mlp":
         (num_layers,) = header["layers"]
         model = net("net", num_layers)
@@ -364,7 +361,8 @@ def _parse_system(blob: bytes) -> System:
         raise ValueError(f"unknown kind {header['kind']!r}")
     input_norm = take(NormStats, "input_norm") if "input_norm.mean" in arrays else None
     system = System(labels=labels, mfcc_norm=take(NormStats, "mfcc_norm"),
-                    width=width, dct_keep=dct_keep, deltas=header["deltas"],
+                    width=header["width"], dct_keep=header["dct_keep"],
+                    deltas=header["deltas"],
                     input_norm=input_norm, model=model,
                     config_fingerprint=header["config_fingerprint"])
     _check_dims(system)
@@ -373,7 +371,9 @@ def _parse_system(blob: bytes) -> System:
 
 def _check_dims(system: System) -> None:
     """Raise unless the MFCC norm, the front-end, the input norm, the
-    model and the labels fit together."""
+    model and the labels fit together. The front end's own checks reject
+    its geometry and input norm when it runs on one frame; a delta front
+    end, which reads neither, must store width 1 and no DCT."""
     model = system.model
     if isinstance(model, gmm.GmmConceptBank):
         if any(g.means.shape != model.ubm.means.shape for g in model.concepts):
@@ -386,11 +386,10 @@ def _check_dims(system: System) -> None:
     mfcc_dim = len(system.mfcc_norm.mean)
     if mfcc_dim != NUM_CEPS + 1:
         raise ValueError(f"MFCC norm has {mfcc_dim} dims, not {NUM_CEPS + 1}")
-    feature_dim = mfcc_dim * (3 if system.deltas else system.dct_keep or system.width)
-    norm_dim = (feature_dim if system.input_norm is None
-                else len(system.input_norm.mean))
-    if not feature_dim == norm_dim == in_dim:
-        raise ValueError(f"front-end gives {feature_dim} dims, input norm has "
-                         f"{norm_dim}, model takes {in_dim}")
+    if system.deltas and (system.width, system.dct_keep) != (1, None):
+        raise ValueError(f"deltas with width {system.width}, dct_keep {system.dct_keep}")
+    feature_dim = system.features(FeatureSequence(np.zeros((1, mfcc_dim)))).dim
+    if feature_dim != in_dim:
+        raise ValueError(f"front-end gives {feature_dim} dims, model takes {in_dim}")
     if out_dim != len(system.labels):
         raise ValueError(f"{len(system.labels)} labels for {out_dim} model outputs")

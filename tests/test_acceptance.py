@@ -6,6 +6,10 @@ fixtures (corpus synthesis, system training) are module-scoped so each
 system is trained exactly once.
 """
 
+import ctypes
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -20,6 +24,18 @@ SEED = 0
 GMM_COMPONENTS = 64
 GMM_ITERATIONS = 15
 SWEEP_WIDTHS = (1, 9, 17, 25, 33)
+# sha256 prefixes of the arrays of every system the fixtures train, per
+# (OpenBLAS kernel, BLAS thread count): the bits depend on both
+PINNED_DIGESTS = {
+    ("SkylakeX", 2): {
+        "gmm-delta42": "45bc9316b28706bc", "gmm-stack5": "2b114936f532ed3f",
+        "gmm-stack21": "143e73a75875a676",
+        "nn-x1": "0d4cb3aac8a6fae4", "nn-x9": "7da3377ea8a7d572",
+        "nn-x17": "e0a9dc4c7f76be70", "nn-x25": "dabed9bce7a033ff",
+        "nn-x33": "08cb37596daf6aab",
+        "dnn": "3edd0fce13bd2031", "hdnn": "dbd1a1abfcc9db55",
+    },
+}
 
 
 @pytest.fixture(scope="module")
@@ -46,37 +62,60 @@ def desk_pretrain():
     return rbm.PretrainConfig(minibatch=128, rng_seed=SEED)
 
 
+class ArrayDigests(dict):
+    """System name -> sha256 prefix of its arrays' bytes as ``save_system``
+    writes them, without the header, so config fingerprints do not enter."""
+
+    def __init__(self, tmp_dir: Path):
+        super().__init__()
+        self.path = tmp_dir / "system.acsy"
+
+    def record(self, name: str, system: systems.System) -> None:
+        systems.save_system(system, self.path)
+        blob = self.path.read_bytes()
+        arrays_at = 12 + int.from_bytes(blob[8:12], "little")
+        self[name] = hashlib.sha256(blob[arrays_at:]).hexdigest()[:16]
+
+
 @pytest.fixture(scope="module")
-def nn_sweep(corpus):
+def array_digests(tmp_path_factory):
+    return ArrayDigests(tmp_path_factory.mktemp("digests"))
+
+
+@pytest.fixture(scope="module")
+def nn_sweep(corpus, array_digests):
     """1x1000 networks on raw stacked context, one per sweep width."""
     reports = {}
     for width in SWEEP_WIDTHS:
-        _, classifier, _ = systems.train_nn_system(
+        system, classifier, _ = systems.train_nn_system(
             corpus, hidden_dims=[1000], width=width, schedule=desk_schedule())
+        array_digests.record(f"nn-x{width}", system)
         reports[width] = evaluation.evaluate(classifier, corpus.test,
                                              corpus.labels)
     return reports
 
 
 @pytest.fixture(scope="module")
-def gmm_reports(corpus):
+def gmm_reports(corpus, array_digests):
     reports = {}
     for name, mode, width in (("delta42", "delta42", 0),
                               ("stack5", "stacked", 5),
                               ("stack21", "stacked", 21)):
-        _, classifier = systems.train_gmm_system(
+        system, classifier = systems.train_gmm_system(
             corpus, num_components=GMM_COMPONENTS, iterations=GMM_ITERATIONS,
             seed=SEED, feature_mode=mode, width=width)
+        array_digests.record(f"gmm-{name}", system)
         reports[name] = evaluation.evaluate(classifier, corpus.test,
                                             corpus.labels)
     return reports
 
 
 @pytest.fixture(scope="module")
-def dnn_system(corpus):
+def dnn_system(corpus, array_digests):
     system, _, _ = systems.train_nn_system(
         corpus, hidden_dims=[256, 256, 256], width=49,
         schedule=desk_schedule(), dct_keep=33, pretrain=desk_pretrain())
+    array_digests.record("dnn", system)
     return system
 
 
@@ -86,11 +125,12 @@ def dnn_report(dnn_system, corpus):
 
 
 @pytest.fixture(scope="module")
-def hdnn_report(dnn_system, corpus):
+def hdnn_report(dnn_system, corpus, array_digests):
     """The H-DNN as train_hdnn_system builds it: a second stage on the DNN."""
     system = systems.add_second_stage(dnn_system, corpus, [128, 128],
                                       desk_schedule(SEED + 1),
                                       hierarchy.SparseContextConfig())
+    array_digests.record("hdnn", system)
     return evaluation.evaluate(system.classify, corpus.test, corpus.labels)
 
 
@@ -334,3 +374,31 @@ class TestCriterion10Determinism:
         blob_b, report_b = self.train_nn_bytes(corpus, tmp_path, "b")
         assert blob_a == blob_b
         assert report_a == report_b
+
+    def test_trained_arrays_match_pinned_digests(self, nn_sweep, gmm_reports,
+                                                 dnn_system, hdnn_report,
+                                                 array_digests):
+        """The fixtures train the bits pinned for this BLAS kernel and
+        thread count; a kernel or count with no entry skips, naming the
+        digests it measured."""
+        key = blas_kernel_and_threads()
+        measured = dict(sorted(array_digests.items()))
+        assert len(measured) == len(SWEEP_WIDTHS) + 3 + 2
+        if key not in PINNED_DIGESTS:
+            pytest.skip(f"no digests pinned for OpenBLAS {key}; measured {measured}")
+        assert measured == PINNED_DIGESTS[key]
+
+
+def blas_kernel_and_threads():
+    """(kernel name, thread count) of the OpenBLAS bundled with NumPy, or
+    None when it is not found."""
+    libs = sorted((Path(np.__file__).parents[1] / "numpy.libs")
+                  .glob("libscipy_openblas64_*.so"))
+    if not libs:
+        return None
+    lib = ctypes.CDLL(str(libs[0]))  # the library NumPy has already loaded
+    corename = lib.scipy_openblas_get_corename64_
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    threads = lib.scipy_openblas_get_num_threads64_
+    threads.argtypes, threads.restype = [], ctypes.c_int
+    return corename().decode(), threads()

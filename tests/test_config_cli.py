@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.io.wavfile
 import yaml
 
 from hdnn_audio import cli, evaluation, gmm, hierarchy, mlp, systems
@@ -224,6 +225,28 @@ class TestCli:
         assert f"{bad}: unreadable WAV file: Reached EOF prematurely" \
             in capsys.readouterr().err
 
+    def test_zero_hz_wav_exits_3_naming_it(self, cli_corpus, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(cli_corpus, corpus)
+        bad = corpus / load_annotations(corpus / "annotations.csv")[0].clip_path
+        scipy.io.wavfile.write(bad, 0, scipy.io.wavfile.read(bad)[1])
+        rc = main(["--set", f"paths.corpus_dir={corpus}",
+                   "--out-dir", str(tmp_path / "run"), "train-gmm"])
+        assert rc == 3
+        assert f"{bad}: WAV header gives a sample rate of 0 Hz" \
+            in capsys.readouterr().err
+
+    def test_non_utf8_annotations_exit_3_naming_them(self, cli_corpus, tmp_path,
+                                                     capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(cli_corpus, corpus)
+        csv_path = corpus / "annotations.csv"
+        csv_path.write_bytes(csv_path.read_bytes() + "caf\xe9.wav,0,1,x\n".encode("latin-1"))
+        rc = main(["--set", f"paths.corpus_dir={corpus}",
+                   "--out-dir", str(tmp_path / "run"), "train-gmm"])
+        assert rc == 3
+        assert f"{csv_path}: not UTF-8 text" in capsys.readouterr().err
+
     def test_deterministic_reports(self, cli_corpus, tmp_path):
         reports = []
         for name in ("a", "b"):
@@ -391,6 +414,8 @@ CORRUPTIONS = {
     "labels_not_strings": _edit_header(labels=[1, 2]),
     "more_labels_than_outputs": _edit_header(labels=["a", "b", "c"]),
     "front_end_dim": _edit_header(width=5),
+    # delta42 also gives 42 dims, but a delta front end stores width 1
+    "deltas_on_stacked": _edit_header(deltas=True),
     # the same number of values, split 13 + 43 between two stds
     "norm_shapes_differ": _edit_header(arrays=[
         ["mfcc_norm.mean", [14]], ["mfcc_norm.std", [13]],
@@ -513,7 +538,15 @@ BAD_VALUES = [
     "nn.schedule.initial_lr=.nan", "nn.schedule.initial_lr=.inf",
     "nn.schedule.initial_lr=0", "nn.schedule.initial_lr=-1", "synth.noise_db=.nan",
     "synth.clip_seconds_range=[.nan, 1.0]",
+    "seed=[1",  # YAML that does not parse
 ]
+# config files that cannot be read or do not parse as YAML
+BAD_CONFIG_FILES = {
+    "missing": None,
+    "tab_indented": b"nn:\n\thidden_dims: [8]\n",
+    "unclosed_list": b"seed: [1\n",
+    "not_utf8": b"seed: 1  # caf\xe9\n",
+}
 # recipe values that are module constants (mlp.CV_FRACTION, rbm.GB_LR, ...)
 # and stage 2's schedule, which is nn.schedule: each is an unknown key
 REMOVED_KEYS = [
@@ -535,6 +568,27 @@ class TestValidation:
                    "--set", override, "--out-dir", str(tmp_path / "run"),
                    command])
         assert rc == 2
+
+    def test_unparsable_override_exits_2_naming_it(self, tmp_path, capsys):
+        rc = main(["--set", f"paths.corpus_dir={tmp_path / 'missing'}",
+                   "--set", "seed=[1", "--out-dir", str(tmp_path / "run"),
+                   "train-hdnn"])
+        assert rc == 2
+        assert "config error: override 'seed=[1': not valid YAML" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("case", list(BAD_CONFIG_FILES))
+    def test_bad_config_file_exits_2_naming_it(self, case, tmp_path, capsys):
+        path = tmp_path / "run.yaml"
+        if BAD_CONFIG_FILES[case] is not None:
+            path.write_bytes(BAD_CONFIG_FILES[case])
+        rc = main(["--config", str(path),
+                   "--set", f"paths.corpus_dir={tmp_path / 'missing'}",
+                   "--out-dir", str(tmp_path / "run"), "train-hdnn"])
+        assert rc == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("key", REMOVED_KEYS)
     def test_removed_key_exits_2_naming_it(self, key, tmp_path, capsys):

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 import scipy.signal
@@ -57,6 +55,12 @@ class TestAnnotations:
     def test_empty_file(self, tmp_path):
         with pytest.raises(ParseError, match="empty"):
             load_annotations(self.write(tmp_path, ""))
+
+    def test_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "annotations.csv"
+        path.write_bytes("clip,start_s,end_s,label\ncaf\xe9.wav,0,1,x\n".encode("latin-1"))
+        with pytest.raises(ParseError, match="annotations.csv: not UTF-8 text"):
+            load_annotations(path)
 
     def test_missing_audio_check(self, tmp_path):
         path = self.write(tmp_path, "clip,start_s,end_s,label\nghost.wav,0,1,x\n")
@@ -227,13 +231,10 @@ class TestSynthesis:
             SynthConfig(clip_seconds_range=(2.0, 1.0))
 
     def test_corpus_layout(self, tiny_corpus_dir, tiny_segments):
-        assert (tiny_corpus_dir / "annotations.csv").exists()
-        manifest = [json.loads(line) for line in
-                    (tiny_corpus_dir / "manifest.jsonl").open()]
-        assert len(manifest) == len(tiny_segments) == 24
-        assert {row["family"] for row in manifest} == {"a", "b", "c", "d"}
-        for seg in tiny_segments:
-            assert (tiny_corpus_dir / seg.clip_path).exists()
+        assert len(tiny_segments) == 24
+        # the annotation CSV and one WAV per segment, and nothing else
+        assert sorted(path.name for path in tiny_corpus_dir.iterdir()) == sorted(
+            ["annotations.csv"] + [seg.clip_path for seg in tiny_segments])
 
     def test_segment_audio_loads(self, tiny_corpus_dir, tiny_segments):
         clip = load_segment_audio(tiny_segments[0], tiny_corpus_dir)

@@ -10,8 +10,7 @@ from hdnn_audio import features
 from hdnn_audio.errors import ClipTooShort, DataError, DimensionMismatch, EmptyInput
 from hdnn_audio.features import (AudioClip, FeatureSequence,
                                  append_deltas, apply_norm, fit_norm_stats,
-                                 invert_temporal_dct, load_wav, mel_filterbank,
-                                 mfcc_sequence, periodic_hamming,
+                                 invert_temporal_dct, load_wav, mfcc_sequence,
                                  stack_context, temporal_dct_reduce)
 
 
@@ -29,9 +28,9 @@ def index_gather_mfcc(clip):
     raw_frames = emphasized[np.arange(win)[None, :]
                             + hop * np.arange(num_frames)[:, None]]
     raw_energy = np.sum(raw_frames ** 2, axis=1)
-    windowed = raw_frames * periodic_hamming(win)[None, :]
+    windowed = raw_frames * features.HAMMING_WINDOW[None, :]
     pspec = np.abs(np.fft.rfft(windowed, features.NFFT, axis=1)) ** 2
-    log_mel = np.log(np.maximum(pspec @ mel_filterbank().T, 1e-10))
+    log_mel = np.log(np.maximum(pspec @ features.MEL_FILTERBANK.T, 1e-10))
     ceps = scipy.fft.dct(log_mel, type=2, axis=1, norm="ortho")[:, :features.NUM_CEPS]
     return np.hstack([ceps, np.log(np.maximum(raw_energy, 1e-10))[:, None]])
 
@@ -48,6 +47,13 @@ class TestFraming:
     def test_too_short_raises(self, num_samples):
         clip = AudioClip(samples=np.ones(num_samples), sample_rate=16000)
         with pytest.raises(ClipTooShort):
+            mfcc_sequence(clip)
+
+    @pytest.mark.parametrize("rate", [8000, 44100])
+    def test_other_sample_rate_raises(self, rate):
+        # a second of audio: long enough for a frame at either rate
+        clip = AudioClip(samples=np.ones(rate), sample_rate=rate)
+        with pytest.raises(DataError, match=f"clip at {rate} Hz"):
             mfcc_sequence(clip)
 
     def test_frames_start_at_hop_multiples(self):
@@ -75,7 +81,7 @@ class TestFraming:
             index_gather_mfcc(clip).view(np.uint64))
 
     def test_periodic_hamming_endpoints(self):
-        w = periodic_hamming(400)
+        w = features.HAMMING_WINDOW
         assert w[0] == pytest.approx(0.08)
         # periodic window: w[n] would close the circle at 0.08 again
         assert w[200] == pytest.approx(1.0)
@@ -84,16 +90,16 @@ class TestFraming:
 
 class TestMelFilterbank:
     def test_shape(self):
-        fbank = mel_filterbank()
+        fbank = features.MEL_FILTERBANK
         assert fbank.shape == (26, 257)
 
     def test_triangles_peak_at_one(self):
-        fbank = mel_filterbank()
+        fbank = features.MEL_FILTERBANK
         peaks = fbank.max(axis=1)
         assert np.all(peaks > 0.99)
 
     def test_filters_are_nonnegative_and_local(self):
-        fbank = mel_filterbank()
+        fbank = features.MEL_FILTERBANK
         assert np.all(fbank >= 0)
         # each filter's support is a contiguous run of bins
         for row in fbank:
@@ -101,22 +107,17 @@ class TestMelFilterbank:
             assert np.array_equal(nz, np.arange(nz[0], nz[-1] + 1))
 
     def test_centers_increase(self):
-        fbank = mel_filterbank()
+        fbank = features.MEL_FILTERBANK
         centers = fbank.argmax(axis=1)
         assert np.all(np.diff(centers) > 0)
 
 
-class TestCachedArrays:
-    @pytest.mark.parametrize("cached, arg", [
-        (mel_filterbank, 16000),
-        (periodic_hamming, 400),
-    ])
-    def test_one_read_only_array_per_argument(self, cached, arg):
-        first = cached(arg)
-        assert cached(arg) is first
-        assert not first.flags.writeable
-        # the function computed afresh, past its cache
-        np.testing.assert_array_equal(first, cached.__wrapped__(arg))
+class TestModuleArrays:
+    @pytest.mark.parametrize("name", ["MEL_FILTERBANK", "HAMMING_WINDOW"])
+    def test_read_only(self, name):
+        # every clip shares the one array, so no caller may write it
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(features, name)[0] = 1.0
 
 
 class TestMfcc:
@@ -367,6 +368,14 @@ class TestWavIo:
         with pytest.warns(scipy.io.wavfile.WavFileWarning, match="not understood"):
             clip = load_wav(extra)
         np.testing.assert_array_equal(clip.samples, load_wav(plain).samples)
+
+    def test_zero_sample_rate_is_a_data_error(self, tmp_path):
+        path = tmp_path / "zero.wav"
+        # 0 Hz and a byte rate of 0: a header SciPy reads without complaint
+        scipy.io.wavfile.write(path, 0, np.zeros(800, dtype=np.int16))
+        with pytest.raises(DataError, match="zero.wav: WAV header gives a "
+                                            "sample rate of 0 Hz"):
+            load_wav(path)
 
     def test_resampled_to_canonical_rate(self, tmp_path):
         t = np.arange(8000) / 8000.0
