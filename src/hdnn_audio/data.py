@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.fft
 import scipy.io.wavfile
-import scipy.signal
 
 from .errors import ConceptTooSmall, MissingAudio, ParseError
 from .features import AudioClip, load_wav
@@ -34,6 +34,7 @@ class AnnotatedSegment:
 
 
 MAX_CONCEPTS = 8  # the entries of concept_table's inventory
+MAX_BAND_EDGE_HZ = 3400  # the highest band edge in concept_table's inventory
 
 
 @dataclass
@@ -52,6 +53,10 @@ class SynthConfig:
         lo, hi = self.clip_seconds_range
         if lo > hi or lo <= 0:
             raise ValueError("invalid clip duration range")
+        # the band-pass designs need every band edge below the Nyquist rate
+        if self.sample_rate <= 2 * MAX_BAND_EDGE_HZ:
+            raise ValueError(f"sample_rate must be above {2 * MAX_BAND_EDGE_HZ} Hz, twice "
+                             f"the highest concept band edge, got {self.sample_rate}")
 
 
 def load_annotations(csv_path, check_audio: bool = False) -> list[AnnotatedSegment]:
@@ -174,20 +179,59 @@ def concept_table(num_concepts: int) -> list[ConceptSpec]:
     ][:num_concepts]
 
 
+# the synthetic band-pass: 4th-order Butterworth, applied as its frequency
+# response to a zero-padded FFT of the noise. The padding runs past the
+# slowest pole's decay to DECAY, so the circular convolution matches a
+# causal IIR filter to rounding; lengths on a grid of FFT_GRID keep the
+# cached responses few.
+DECAY = 1e-22
+FFT_GRID = 8192
+
+
+def _bandpass_zpk(low_hz, high_hz, sr):
+    """Zeros, poles and gain of the band-pass on [low_hz, high_hz], as
+    scipy.signal.butter(4, ..., "bandpass", fs=sr) designs it: the analog
+    prototype at pre-warped edges, then the bilinear transform."""
+    # analog edges for the bilinear transform s = 4 (z - 1) / (z + 1)
+    lo, hi = 4.0 * np.tan(np.pi * np.array([low_hz, high_hz]) / sr)
+    # the order-4 low-pass prototype's poles, shifted to the band
+    shifted = (hi - lo) / 2 * -np.exp(1j * np.pi * np.arange(-3, 4, 2) / 8)
+    offset = np.sqrt(shifted ** 2 - lo * hi)
+    analog = np.concatenate([shifted + offset, shifted - offset])
+    poles = (4.0 + analog) / (4.0 - analog)
+    zeros = np.repeat([1.0, -1.0], 4)
+    gain = (hi - lo) ** 4 * np.real(4.0 ** 4 / np.prod(4.0 - analog))
+    return zeros, poles, gain
+
+
 @functools.cache
-def _bandpass_sos(low_hz, high_hz, sr) -> np.ndarray:
-    """Read-only 4th-order Butterworth band-pass design, built once per band."""
-    sos = scipy.signal.butter(4, [low_hz, high_hz], btype="bandpass",
-                              fs=sr, output="sos")
-    sos.flags.writeable = False
-    return sos
+def _decay_samples(low_hz, high_hz, sr) -> int:
+    """Samples until the band-pass's slowest pole has decayed to DECAY."""
+    _, poles, _ = _bandpass_zpk(low_hz, high_hz, sr)
+    return int(np.ceil(np.log(DECAY) / np.log(np.abs(poles).max())))
+
+
+@functools.cache
+def _bandpass_response(low_hz, high_hz, sr, m) -> np.ndarray:
+    """Read-only response of the band-pass at the bins of an m-point rfft."""
+    zeros, poles, gain = _bandpass_zpk(low_hz, high_hz, sr)
+    z = np.exp(2j * np.pi * np.arange(m // 2 + 1) / m)
+    response = np.full(m // 2 + 1, gain, dtype=complex)
+    for zero, pole in zip(zeros, poles):
+        response *= (z - zero) / (z - pole)
+    response.flags.writeable = False
+    return response
 
 
 def _synth_band_noise(rng, n, sr, low_hz, high_hz):
-    # sosfilt rejects a read-only design, so it filters with a copy
-    sig = scipy.signal.sosfilt(_bandpass_sos(low_hz, high_hz, sr).copy(),
-                               rng.standard_normal(n))
-    return 0.25 * sig / max(np.sqrt(np.mean(sig ** 2)), 1e-12)
+    m = -(-(n + _decay_samples(low_hz, high_hz, sr)) // FFT_GRID) * FFT_GRID
+    spectrum = scipy.fft.rfft(rng.standard_normal(n), m)
+    spectrum *= _bandpass_response(low_hz, high_hz, sr, m)
+    sig = scipy.fft.irfft(spectrum, m, overwrite_x=True)[:n]
+    rms = max(np.sqrt(np.mean(sig ** 2)), 1e-12)
+    sig *= 0.25
+    sig /= rms
+    return sig
 
 
 def _synth_am_tone(rng, n, sr, carrier_hz, period_s):
@@ -199,16 +243,29 @@ def _synth_am_tone(rng, n, sr, carrier_hz, period_s):
     depth = rng.uniform(0.85, 0.95)
     # pseudo-periodic envelope: each cycle's duration jitters +/-8%, so
     # the envelope phase drifts and fixed-phase templates do not tile it
-    phase = np.empty(n)
+    starts, steps, phases = [], [], []
     pos, cur = 0, rng.uniform(0, 2 * np.pi)
     while pos < n:
-        steps = max(int(round(period_s * rng.uniform(0.92, 1.08) * sr)), 1)
-        end = min(pos + steps, n)
-        phase[pos:end] = cur + 2 * np.pi * np.arange(end - pos) / steps
-        cur += 2 * np.pi * (end - pos) / steps
+        cycle = max(int(round(period_s * rng.uniform(0.92, 1.08) * sr)), 1)
+        end = min(pos + cycle, n)
+        starts.append(pos)
+        steps.append(cycle)
+        phases.append(cur)
+        cur += 2 * np.pi * (end - pos) / cycle
         pos = end
-    envelope = 1.0 - depth + depth * np.sin(phase)
-    return 0.30 * envelope * np.sin(2 * np.pi * carrier_hz * t + carrier_phase)
+    # each cycle's phase is its start phase plus 2 pi k / steps at its
+    # k-th sample
+    lengths = np.diff(starts, append=n)
+    k = np.arange(n) - np.repeat(starts, lengths)
+    envelope = np.repeat(phases, lengths) + 2 * np.pi * k / np.repeat(steps, lengths)
+    np.sin(envelope, out=envelope)
+    envelope *= depth
+    envelope += 1.0 - depth
+    envelope *= 0.30
+    t *= 2 * np.pi * carrier_hz
+    t += carrier_phase
+    envelope *= np.sin(t, out=t)
+    return envelope
 
 
 def _synth_pulse_train(rng, n, sr, period_s, marker_hz, burst="noise",
@@ -218,7 +275,8 @@ def _synth_pulse_train(rng, n, sr, period_s, marker_hz, burst="noise",
     # continuous marker band identifies the pair (clap vs knock) from a
     # single frame, so context only helps with the timing pattern.
     # band noise comes back RMS-normalized to 0.25
-    sig = 0.20 * _synth_band_noise(rng, n, sr, marker_hz[0], marker_hz[1])
+    sig = _synth_band_noise(rng, n, sr, marker_hz[0], marker_hz[1])
+    sig *= 0.20
     burst_len = int(round(burst_s * sr))
     window = np.hanning(burst_len)
     tone = np.sin(2 * np.pi * 1800.0 * np.arange(burst_len) / sr)
@@ -258,12 +316,14 @@ def synthesize_clip(spec: ConceptSpec, duration_s: float, sample_rate: int,
     # per-clip channel simulation: a random spectral tilt (one-zero filter,
     # roughly +/-7 dB across the band) plus gain jitter (+/-4 dB), so
     # absolute level and fixed spectral shape are not reliable cues
+    # (each step in place on the synthesizer's fresh array)
     tilt = rng.uniform(-0.4, 0.4)
-    sig = np.append(sig[0], sig[1:] - tilt * sig[:-1])
-    sig = sig * 10.0 ** (rng.uniform(-4.0, 4.0) / 20.0)
-    noise_amp = 10.0 ** (noise_db / 20.0)
-    sig = sig + noise_amp * rng.standard_normal(n)
-    return np.clip(sig, -1.0, 1.0)
+    sig[1:] -= tilt * sig[:-1]
+    sig *= 10.0 ** (rng.uniform(-4.0, 4.0) / 20.0)
+    noise = rng.standard_normal(n)
+    noise *= 10.0 ** (noise_db / 20.0)
+    sig += noise
+    return np.clip(sig, -1.0, 1.0, out=sig)
 
 
 def generate_synthetic_corpus(config: SynthConfig, out_dir) -> list[AnnotatedSegment]:
@@ -287,7 +347,8 @@ def generate_synthetic_corpus(config: SynthConfig, out_dir) -> list[AnnotatedSeg
             sig = synthesize_clip(spec, duration, config.sample_rate,
                                   config.noise_db, rng)
             name = f"{spec.name}_{k:03d}.wav"
-            pcm = np.round(sig * 32767.0).astype(np.int16)
+            sig *= 32767.0
+            pcm = np.round(sig, out=sig).astype(np.int16)
             scipy.io.wavfile.write(out_dir / name, config.sample_rate, pcm)
             segments.append(AnnotatedSegment(clip_path=name, start_s=0.0,
                                              end_s=len(pcm) / config.sample_rate,

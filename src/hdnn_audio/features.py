@@ -20,7 +20,6 @@ from typing import ClassVar
 import numpy as np
 import scipy.fft
 import scipy.io.wavfile
-import scipy.signal
 
 from .errors import ClipTooShort, DataError, DimensionMismatch, EmptyInput
 
@@ -128,8 +127,10 @@ def load_wav(path) -> AudioClip:
     if samples.ndim == 2:
         samples = samples.mean(axis=1)
     if rate != CANONICAL_SAMPLE_RATE:
+        # scipy.signal loads half of SciPy: imported only when needed
+        from scipy.signal import resample_poly
         g = np.gcd(int(rate), CANONICAL_SAMPLE_RATE)
-        samples = scipy.signal.resample_poly(samples, CANONICAL_SAMPLE_RATE // g, rate // g)
+        samples = resample_poly(samples, CANONICAL_SAMPLE_RATE // g, rate // g)
         rate = CANONICAL_SAMPLE_RATE
     return AudioClip(samples=samples, sample_rate=int(rate))
 

@@ -185,6 +185,17 @@ class TestCli:
                    "synth-data"])
         assert rc == 2
 
+    @pytest.mark.parametrize("rate", [6000, 0])
+    def test_rate_below_the_bands_exits_2_naming_it(self, rate, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        rc = main(["--set", f"paths.corpus_dir={corpus}",
+                   "--set", f"synth.sample_rate={rate}",
+                   "--out-dir", str(tmp_path / "run"), "synth-data"])
+        assert rc == 2
+        assert f"sample_rate must be above 6800 Hz, twice the highest concept " \
+               f"band edge, got {rate}" in capsys.readouterr().err
+        assert not corpus.exists() and not (tmp_path / "run").exists()
+
     def test_data_error_exit_code(self, tmp_path):
         rc = main(["--set", f"paths.corpus_dir={tmp_path / 'missing'}",
                    "--out-dir", str(tmp_path / "y"), "train-gmm"])

@@ -1,3 +1,9 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.signal
@@ -215,12 +221,62 @@ class TestSynthesis:
             assert np.abs(sig).max() <= 1.0
             assert np.abs(sig).max() > 1e-4  # not silence
 
-    def test_bandpass_design_is_one_read_only_array_per_band(self):
-        first = data._bandpass_sos(300.0, 1200.0, 16000)
-        assert data._bandpass_sos(300.0, 1200.0, 16000) is first
-        assert not first.flags.writeable
-        np.testing.assert_array_equal(first, scipy.signal.butter(
-            4, [300.0, 1200.0], btype="bandpass", fs=16000, output="sos"))
+    @staticmethod
+    def bands():
+        """Every band the concept inventory band-passes, and one outside it."""
+        params = [spec.params for spec in concept_table(8)]
+        return ([(p["low_hz"], p["high_hz"]) for p in params if "low_hz" in p]
+                + [p["marker_hz"] for p in params if "marker_hz" in p]
+                + [(300.0, 1200.0)])
+
+    def test_bandpass_response_matches_butter(self):
+        for low, high in self.bands():
+            sos = scipy.signal.butter(4, [low, high], btype="bandpass", fs=16000,
+                                      output="sos")
+            for m in (8192, 40960):
+                response = data._bandpass_response(low, high, 16000, m)
+                _, expected = scipy.signal.sosfreqz(
+                    sos, worN=2 * np.pi * np.arange(m // 2 + 1) / m)
+                np.testing.assert_allclose(response, expected, rtol=0, atol=1e-12)
+                # one read-only array per band and length
+                assert data._bandpass_response(low, high, 16000, m) is response
+                assert not response.flags.writeable
+
+    def test_band_noise_matches_sosfilt(self):
+        for low, high in self.bands():
+            sos = scipy.signal.butter(4, [low, high], btype="bandpass", fs=16000,
+                                      output="sos")
+            # the last length is the shortest padding the FFT grid allows
+            for n in (8000, 19200, 32000,
+                      3 * data.FFT_GRID - data._decay_samples(low, high, 16000)):
+                noise = data._synth_band_noise(np.random.default_rng(n), n, 16000,
+                                               low, high)
+                filtered = scipy.signal.sosfilt(
+                    sos, np.random.default_rng(n).standard_normal(n))
+                expected = 0.25 * filtered / np.sqrt(np.mean(filtered ** 2))
+                assert np.abs(noise - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_corpus_wav_bytes_pinned(self, tmp_path):
+        # the WAVs of the sosfilt-based generator this one replaced; a
+        # float-level change that reaches a quantised sample shows here
+        segments = generate_synthetic_corpus(SynthConfig(clips_per_concept=2,
+                                                         rng_seed=0), tmp_path)
+        digest = hashlib.sha256()
+        for seg in segments:
+            digest.update((tmp_path / seg.clip_path).read_bytes())
+        assert len(segments) == 16
+        assert digest.hexdigest() == (
+            "85df4c4fc68cd4d9b1dd96833190a8048de031fec17b229b31933402ea6dd539")
+
+    def test_package_import_leaves_out_scipy_signal(self):
+        code = ("import sys\n"
+                "import hdnn_audio.cli, hdnn_audio.data, hdnn_audio.features, "
+                "hdnn_audio.systems\n"
+                "print('scipy.signal' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(Path(data.__file__).resolve().parents[1]))
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "False"
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -229,6 +285,10 @@ class TestSynthesis:
             SynthConfig(num_concepts=9)
         with pytest.raises(ValueError):
             SynthConfig(clip_seconds_range=(2.0, 1.0))
+        assert max(map(max, self.bands()[:-1])) == data.MAX_BAND_EDGE_HZ
+        with pytest.raises(ValueError, match="above 6800 Hz.*got 6800"):
+            SynthConfig(sample_rate=6800)
+        SynthConfig(sample_rate=6801)
 
     def test_corpus_layout(self, tiny_corpus_dir, tiny_segments):
         assert len(tiny_segments) == 24
